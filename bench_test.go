@@ -307,24 +307,15 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 // BenchmarkGenerate measures single-sequence generation on a trained
-// model across the three serving backends: the live float64 model (the
-// training-faithful path) and the frozen f32/int8 inference kernels
-// (BENCH_infer.json tracks the speedups). One model is trained and frozen
+// model on both serving backends: the live float64 model (the
+// training-faithful path) and the frozen f32 inference kernels
+// (BENCH_infer.json tracks the speedup). One model is trained and frozen
 // outside the timer so the sub-benchmarks compare pure generation cost.
 func BenchmarkGenerate(b *testing.B) {
 	train, test, cfg := benchModelSetup(1)
 	m := NewModel(cfg)
 	m.Train(train, nil)
 
-	run := func(b *testing.B, g ModelGenerator) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if out := g.GenerateSeeded(test, int64(1)); len(out) != test.Len() {
-				b.Fatal("bad generation")
-			}
-		}
-	}
 	b.Run("f64", func(b *testing.B) {
 		// Generate (not GenerateSeeded) keeps the historical measurement:
 		// the serial hot path on the model's own RNG stream.
@@ -336,16 +327,22 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 		}
 	})
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		im, err := m.Freeze(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(string(p), func(b *testing.B) { run(b, im) })
+	im, err := m.Freeze(PrecisionF32)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run(string(PrecisionF32), func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if out := im.GenerateSeeded(test, int64(1)); len(out) != test.Len() {
+				b.Fatal("bad generation")
+			}
+		}
+	})
 }
 
-// BenchmarkGenerateBatch measures the frozen backends' lockstep batched
+// BenchmarkGenerateBatch measures the frozen backend's lockstep batched
 // GenerateJobs engine at paper-scale weights (Hidden=100), where weight
 // bandwidth dominates: every layer-step issues one packed GEMM across the
 // micro-batch instead of one GEMV per sequence. x1 is the sequential
@@ -367,28 +364,26 @@ func BenchmarkGenerateBatch(b *testing.B) {
 	m.Train(train, nil)
 	test := PrepareSequence(d.TestRuns()[0], chans, opt.MaxCells)
 
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		im, err := m.Freeze(p)
-		if err != nil {
-			b.Fatal(err)
+	im, err := m.Freeze(PrecisionF32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := im.WithWorkers(1)
+	for _, n := range []int{1, 4, 8} {
+		jobs := make([]core.GenJob, n)
+		for i := range jobs {
+			jobs[i] = core.GenJob{Seq: test, Seed: core.DeriveSeed(1, i)}
 		}
-		g := im.WithWorkers(1)
-		for _, n := range []int{1, 4, 8} {
-			jobs := make([]core.GenJob, n)
-			for i := range jobs {
-				jobs[i] = core.GenJob{Seq: test, Seed: core.DeriveSeed(1, i)}
-			}
-			b.Run(fmt.Sprintf("%sx%d", p, n), func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if out := g.GenerateJobs(jobs); len(out) != n {
-						b.Fatal("bad generation")
-					}
+		b.Run(fmt.Sprintf("%sx%d", PrecisionF32, n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := g.GenerateJobs(jobs); len(out) != n {
+					b.Fatal("bad generation")
 				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "seq/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "seq/s")
+		})
 	}
 }
 

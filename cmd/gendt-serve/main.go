@@ -19,7 +19,7 @@
 //	            [-addr :8080] [-dataset A|B] [-scale F] [-seed N]
 //	            [-batch-window 2ms] [-batch-max 64] [-batch-gemm=true]
 //	            [-max-body 8388608] [-max-samples 64] [-workers N]
-//	            [-timeout 30s] [-precision f64|f32|int8]
+//	            [-timeout 30s] [-precision f64|f32]
 //	            [-pprof-addr 127.0.0.1:6060]
 package main
 
@@ -75,12 +75,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "dataset seed (must match training for the same world)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batching window; 0 coalesces only queued requests")
 	batchMax := flag.Int("batch-max", serve.DefaultMaxBatch, "max generation jobs per coalesced batch")
-	batchGemm := flag.Bool("batch-gemm", true, "run frozen f32/int8 batches on the lockstep batched-GEMM engine; false falls back to job-at-a-time execution (bit-identical output)")
+	batchGemm := flag.Bool("batch-gemm", true, "run frozen f32 batches on the lockstep batched-GEMM engine; false falls back to job-at-a-time execution (bit-identical output)")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request generation timeout")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "max request body bytes")
 	maxSamples := flag.Int("max-samples", serve.DefaultMaxSamples, "max samples per request")
 	workers := flag.Int("workers", 0, "generation fan-out width override (0 = per-model setting)")
-	precision := flag.String("precision", "", "serving backend for every model: f64 (live float64), f32, or int8 (frozen inference kernels); empty honours each model file's own preference")
+	precision := flag.String("precision", "", "serving backend for every model: f64 (live float64) or f32 (frozen inference kernels); empty honours each model file's own preference")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables profiling")
 	flag.Parse()
 

@@ -11,7 +11,7 @@
 //	               [-dataset NAME] [-scenario-file F.toml]
 //	               [-scale F] [-seed N] [-routes N]
 //	               [-samples N] [-max-route-len N] [-workers N]
-//	               [-precision f64|f32|int8]
+//	               [-precision f64|f32]
 //	               [-update-golden] [-corrupt SIGMA] [-corrupt-out PATH]
 //	               [-skip-http] [-json]
 //	               [-target http://replica:8081] [-target-model NAME]
@@ -56,7 +56,7 @@ func main() {
 	corruptOut := flag.String("corrupt-out", "", "write the (possibly corrupted) in-memory model to this path and exit 0 — builds rollback-test candidates")
 	target := flag.String("target", "", "validate a live replica at this base URL instead of the in-process model")
 	targetModel := flag.String("target-model", "", "registered model name on the -target replica (empty = its single-model default)")
-	precision := flag.String("precision", "", "backend to validate: f64 (live model, default), f32, or int8 (frozen inference kernels)")
+	precision := flag.String("precision", "", "backend to validate: f64 (live model, default) or f32 (frozen inference kernels)")
 	skipHTTP := flag.Bool("skip-http", false, "skip the HTTP /v1/generate determinism check")
 	asJSON := flag.Bool("json", false, "print the full report as JSON instead of text")
 	flag.Parse()

@@ -74,19 +74,18 @@ var (
 	KPIChannel = core.KPIChannel
 )
 
-// InferModel is a frozen float32/int8 inference snapshot of a trained
+// InferModel is a frozen float32 inference snapshot of a trained
 // Model, built with Model.Freeze — the blocked-kernel fast path behind
 // gendt-serve's -precision flag.
 type InferModel = core.InferModel
 
-// Precision names a serving backend: f64 (the live model), f32, or int8.
+// Precision names a serving backend: f64 (the live model) or f32.
 type Precision = core.Precision
 
 // Serving precisions.
 const (
-	PrecisionF64  = core.PrecisionF64
-	PrecisionF32  = core.PrecisionF32
-	PrecisionInt8 = core.PrecisionInt8
+	PrecisionF64 = core.PrecisionF64
+	PrecisionF32 = core.PrecisionF32
 )
 
 // ModelGenerator is the read-only generation interface shared by the live

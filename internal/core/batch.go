@@ -9,7 +9,7 @@ import (
 
 // Batched lockstep generation: up to batchLanes same-model jobs step
 // their frozen LSTMs together, so each layer-step runs ONE batched matmul
-// (nn.GemmColF32 / MatVecInt8Batch) that streams the weights once for the
+// (nn.GemmColF32) that streams the weights once for the
 // whole micro-batch instead of once per sequence, and each gate
 // activation runs as one vector call over the multi-lane plane.
 //
@@ -54,7 +54,6 @@ type batchLane struct {
 	bufA   []float32 // residual ping-pong buffers
 	bufB   []float32
 	lags   []float32 // [Lags*nch] residual lag assembly
-	xq     []int8    // int8 activation scratch for per-lane denses
 }
 
 // inferBatch is a pooled lockstep engine: the shared batched LSTM states,
@@ -65,7 +64,6 @@ type inferBatch struct {
 
 	headW int
 	head  []float32 // [batchLanes][headW] aggOut / residual-head plane
-	sc    nn.BatchScratch
 
 	lanes    [batchLanes]*batchLane
 	order    []int  // job index per lane, descending by sequence length
@@ -106,7 +104,6 @@ func (im *InferModel) newBatch() *inferBatch {
 			hAvg:   make([]float32, cfg.BatchLen*cfg.Hidden),
 			nCells: make([]int, cfg.BatchLen),
 			row:    make([]float32, im.nch),
-			xq:     make([]int8, im.scratchCols),
 		}
 		if im.res != nil {
 			w := im.res.in
@@ -308,7 +305,7 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 			copy(eng.agg.Input(b), avg)
 		}
 		im.agg.StepBatch(eng.agg, nbt, nil, eng.rngs)
-		im.aggOut.ApplyBatch(aggH, aggStride, eng.head, eng.headW, nbt, &eng.sc)
+		im.aggOut.ApplyBatch(aggH, aggStride, eng.head, eng.headW, nbt)
 		for b := 0; b < nbt; b++ {
 			ln := eng.lanes[b]
 			head := eng.head[b*eng.headW : (b+1)*eng.headW]
@@ -333,7 +330,7 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 						dst[c] = float32(from[c])
 					}
 				}
-				im.res.forwardLane(ln.rng, ln.bufA, ln.bufB, lags, head, ln.xq, ln.seq.Env[lo+t], row)
+				im.res.forwardLane(ln.rng, ln.bufA, ln.bufB, lags, head, ln.seq.Env[lo+t], row)
 			}
 			o := ln.backing[t*nch : (t+1)*nch]
 			for c := range row {

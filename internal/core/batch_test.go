@@ -20,9 +20,8 @@ func truncSeq(seq *Sequence, n int) *Sequence {
 // TestBatchedGenerateJobsBitIdentical is the lockstep engine's contract:
 // GenerateJobs with batching on (the default), batching off
 // (WithBatch(false)), and per-job direct GenerateSeeded must all be
-// byte-equal, per precision, across mixed sequence lengths (ragged lane
-// retirement), chunk boundaries (more jobs than batchLanes), and worker
-// fan-out widths.
+// byte-equal across mixed sequence lengths (ragged lane retirement),
+// chunk boundaries (more jobs than batchLanes), and worker fan-out widths.
 func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 	m, seq := freezeFixture(t)
 	// Mixed lengths exercise window-level retirement (length differences
@@ -40,34 +39,32 @@ func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 	for i := 0; i < 11; i++ { // > batchLanes, non-multiple: ragged chunk
 		jobs = append(jobs, GenJob{Seq: seqs[i%len(seqs)], Seed: DeriveSeed(99, i)})
 	}
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		im, err := m.Freeze(p)
-		if err != nil {
-			t.Fatal(err)
+	im, err := m.Freeze(PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched := im.WithWorkers(1).GenerateJobs(jobs)
+	for i, job := range jobs {
+		direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
+		if !series2Equal(batched[i], direct) {
+			t.Fatalf("job %d (T=%d): batched vs direct GenerateSeeded differ", i, job.Seq.Len())
 		}
-		batched := im.WithWorkers(1).GenerateJobs(jobs)
-		for i, job := range jobs {
-			direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
-			if !series2Equal(batched[i], direct) {
-				t.Fatalf("%s: job %d (T=%d): batched vs direct GenerateSeeded differ", p, i, job.Seq.Len())
-			}
+	}
+	unbatched := im.WithBatch(false).WithWorkers(1).GenerateJobs(jobs)
+	parallel := im.WithWorkers(3).GenerateJobs(jobs)
+	for i := range jobs {
+		if !series2Equal(batched[i], unbatched[i]) {
+			t.Fatalf("job %d: batch-on vs batch-off differ", i)
 		}
-		unbatched := im.WithBatch(false).WithWorkers(1).GenerateJobs(jobs)
-		parallel := im.WithWorkers(3).GenerateJobs(jobs)
-		for i := range jobs {
-			if !series2Equal(batched[i], unbatched[i]) {
-				t.Fatalf("%s: job %d: batch-on vs batch-off differ", p, i)
-			}
-			if !series2Equal(batched[i], parallel[i]) {
-				t.Fatalf("%s: job %d: Workers=1 vs Workers=3 differ", p, i)
-			}
+		if !series2Equal(batched[i], parallel[i]) {
+			t.Fatalf("job %d: Workers=1 vs Workers=3 differ", i)
 		}
-		// Repeat on the same engine pool: state reuse must not leak.
-		again := im.WithWorkers(1).GenerateJobs(jobs)
-		for i := range jobs {
-			if !series2Equal(batched[i], again[i]) {
-				t.Fatalf("%s: job %d: repeat on pooled engine differs", p, i)
-			}
+	}
+	// Repeat on the same engine pool: state reuse must not leak.
+	again := im.WithWorkers(1).GenerateJobs(jobs)
+	for i := range jobs {
+		if !series2Equal(batched[i], again[i]) {
+			t.Fatalf("job %d: repeat on pooled engine differs", i)
 		}
 	}
 }

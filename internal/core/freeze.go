@@ -9,14 +9,13 @@ import (
 )
 
 // Precision identifies a generation backend: the live float64 model or a
-// frozen float32 / int8 snapshot of it.
+// frozen float32 snapshot of it.
 type Precision string
 
 // The supported generation precisions.
 const (
-	PrecisionF64  Precision = "f64"
-	PrecisionF32  Precision = "f32"
-	PrecisionInt8 Precision = "int8"
+	PrecisionF64 Precision = "f64"
+	PrecisionF32 Precision = "f32"
 )
 
 // ParsePrecision parses a -precision flag value. The empty string means
@@ -27,15 +26,13 @@ func ParsePrecision(s string) (Precision, error) {
 		return PrecisionF64, nil
 	case string(PrecisionF32):
 		return PrecisionF32, nil
-	case string(PrecisionInt8):
-		return PrecisionInt8, nil
 	}
-	return "", fmt.Errorf("core: unknown precision %q (want f64, f32, or int8)", s)
+	return "", fmt.Errorf("core: unknown precision %q (want f64, f32)", s)
 }
 
 // Generator is the read-only generation surface the serving and validation
 // layers run against. Both *Model (the live f64 network) and *InferModel
-// (a frozen f32/int8 snapshot) implement it. Every method is safe for
+// (a frozen f32 snapshot) implement it. Every method is safe for
 // concurrent use, and each generated series is a pure function of
 // (weights, Seq, Seed) at the implementation's own precision — seed
 // determinism is bit-exact per precision, never across precisions.
@@ -93,28 +90,27 @@ func (m *Model) WithWorkers(n int) Generator {
 }
 
 // Freeze snapshots the trained generator into an immutable InferModel
-// running on the blocked inference kernels at the requested precision
-// (f32 or int8 — f64 is the live model itself). The snapshot shares
-// nothing mutable with the model: training can continue on the source
-// while the frozen copy serves.
+// running on the blocked float32 inference kernels. p must be f32 (f64
+// is the live model itself). The snapshot shares nothing mutable with the
+// model: training can continue on the source while the frozen copy
+// serves.
 func (m *Model) Freeze(p Precision) (*InferModel, error) {
 	switch p {
-	case PrecisionF32, PrecisionInt8:
+	case PrecisionF32:
 	case PrecisionF64:
-		return nil, fmt.Errorf("core: Freeze: f64 is the live model; freeze to f32 or int8")
+		return nil, fmt.Errorf("core: Freeze: f64 is the live model; freeze to f32")
 	default:
 		return nil, fmt.Errorf("core: Freeze: unknown precision %q", p)
 	}
-	quant := p == PrecisionInt8
 	im := &InferModel{
 		Cfg:     m.Cfg,
 		prec:    p,
 		nch:     len(m.Cfg.Channels),
 		nParams: m.ParamCount(),
 		fp:      m.Fingerprint(),
-		node:    nn.FreezeLSTM(m.node, quant),
-		agg:     nn.FreezeLSTM(m.agg, quant),
-		aggOut:  nn.FreezeLinear(m.aggOut, quant),
+		node:    nn.FreezeLSTM(m.node, false),
+		agg:     nn.FreezeLSTM(m.agg, false),
+		aggOut:  nn.FreezeLinear(m.aggOut),
 	}
 	im.Cfg.Precision = p
 	// Generation always runs with the stochastic layers active (Generate
@@ -122,13 +118,12 @@ func (m *Model) Freeze(p Precision) (*InferModel, error) {
 	im.node.Noise = !m.Cfg.NoSRNN
 	im.agg.Noise = !m.Cfg.NoSRNN
 	if m.res != nil {
-		r, err := freezeRes(m.res, quant)
+		r, err := freezeRes(m.res)
 		if err != nil {
 			return nil, err
 		}
 		im.res = r
 	}
-	im.scratchCols = im.maxCols()
 	im.states = &sync.Pool{New: func() any { return im.newState() }}
 	im.batches = &sync.Pool{New: func() any { return im.newBatch() }}
 	return im, nil
@@ -152,7 +147,6 @@ type InferModel struct {
 	aggOut *nn.FrozenDense
 	res    *inferRes // nil under the NoResGen ablation
 
-	scratchCols int
 	// states pools inferState by pointer so WithWorkers' shallow copies
 	// share one pool (sync.Pool must not be copied by value).
 	states *sync.Pool
@@ -184,16 +178,16 @@ type inferStage struct {
 // freezeRes snapshots a ResGen. The body walk is structural, so an
 // architecture drift between ResGen and the freezer fails loudly here
 // instead of silently generating garbage.
-func freezeRes(r *ResGen, quant bool) (*inferRes, error) {
+func freezeRes(r *ResGen) (*inferRes, error) {
 	fr := &inferRes{
 		nch: r.nch, lags: r.lags, noiseDim: r.noiseDim,
 		dropP: r.Dropout.P,
-		head:  nn.FreezeLinear(r.head, quant),
+		head:  nn.FreezeLinear(r.head),
 	}
 	for _, layer := range r.body.Layers {
 		switch t := layer.(type) {
 		case *nn.Linear:
-			fr.stages = append(fr.stages, inferStage{d: nn.FreezeLinear(t, quant)})
+			fr.stages = append(fr.stages, inferStage{d: nn.FreezeLinear(t)})
 		case *nn.LeakyReLU:
 			if len(fr.stages) == 0 {
 				return nil, fmt.Errorf("core: Freeze: ResGen body starts with an activation")
@@ -209,23 +203,6 @@ func freezeRes(r *ResGen, quant bool) (*inferRes, error) {
 	fr.in = fr.stages[0].d.Cols
 	fr.hidden = fr.head.Cols
 	return fr, nil
-}
-
-// maxCols is the widest dense input among the non-LSTM frozen blocks (the
-// LSTM states carry their own quantization scratch).
-func (im *InferModel) maxCols() int {
-	max := im.aggOut.Cols
-	if im.res != nil {
-		for _, sg := range im.res.stages {
-			if sg.d.Cols > max {
-				max = sg.d.Cols
-			}
-		}
-		if im.res.head.Cols > max {
-			max = im.res.head.Cols
-		}
-	}
-	return max
 }
 
 // inferState is one generation job's recurrent state and scratch. States
@@ -246,15 +223,13 @@ type inferState struct {
 	bufA   []float32 // res ping-pong buffers, width max(resIn, hidden)
 	bufB   []float32
 	lags   []float32 // [Lags*nch] res lag assembly
-	xq     []int8    // int8 activation scratch for the non-LSTM denses
 }
 
 func (im *InferModel) newState() *inferState {
 	cfg := im.Cfg
 	src := newSource64(0)
-	// Dense outputs land in kernel-width-padded buffers (pad8) so Apply
-	// can always take the blocked column-major fast path; callers only
-	// ever read the logical prefix.
+	// Dense outputs land in kernel-width-padded buffers (pad8), as Apply
+	// requires; callers only ever read the logical prefix.
 	pad8 := func(n int) int { return (n + 7) &^ 7 }
 	headW := pad8(2 * im.nch)
 	if p := im.aggOut.PadRows; p > headW {
@@ -269,7 +244,6 @@ func (im *InferModel) newState() *inferState {
 		nCells: make([]int, cfg.BatchLen),
 		row:    make([]float32, im.nch),
 		head:   make([]float32, headW),
-		xq:     make([]int8, im.scratchCols),
 	}
 	if im.res != nil {
 		w := im.res.in
@@ -382,7 +356,7 @@ func (im *InferModel) forwardGen(st *inferState, seq *Sequence, lo, L int, teach
 		}
 		copy(st.agg.Input(H), avg)
 		ha := im.agg.Step(st.agg, st.rng)
-		im.aggOut.Apply(ha, st.head, st.xq)
+		im.aggOut.Apply(ha, st.head)
 		row := st.row
 		copy(row, st.head[:nch])
 		if im.res != nil {
@@ -428,14 +402,14 @@ func (im *InferModel) forwardGen(st *inferState, seq *Sequence, lo, L int, teach
 // draws as ResGen.Forward: noiseDim normals, one uniform per dropout
 // element, one normal per channel.
 func (r *inferRes) forward(st *inferState, envCtx []float64, row []float32) {
-	r.forwardLane(st.rng, st.bufA, st.bufB, st.lags, st.head, st.xq, envCtx, row)
+	r.forwardLane(st.rng, st.bufA, st.bufB, st.lags, st.head, envCtx, row)
 }
 
 // forwardLane is forward with the state unbundled, so the batched engine
 // can run it per lane against its own buffers; one implementation serves
 // both execution paths, which is what keeps them bit-identical by
 // construction.
-func (r *inferRes) forwardLane(rng *rand.Rand, bufA, bufB, lags, head []float32, xq []int8, envCtx []float64, row []float32) {
+func (r *inferRes) forwardLane(rng *rand.Rand, bufA, bufB, lags, head []float32, envCtx []float64, row []float32) {
 	x := bufA
 	k := 0
 	for _, v := range envCtx {
@@ -449,7 +423,7 @@ func (r *inferRes) forwardLane(rng *rand.Rand, bufA, bufB, lags, head []float32,
 	copy(x[k:r.in], lags)
 	cur, nxt := bufA, bufB
 	for _, sg := range r.stages {
-		sg.d.Apply(cur, nxt, xq)
+		sg.d.Apply(cur, nxt)
 		if sg.alpha != 0 {
 			for i := 0; i < sg.d.Rows; i++ {
 				if nxt[i] < 0 {
@@ -472,7 +446,7 @@ func (r *inferRes) forwardLane(rng *rand.Rand, bufA, bufB, lags, head []float32,
 			}
 		}
 	}
-	r.head.Apply(h, head, xq)
+	r.head.Apply(h, head)
 	for c := 0; c < r.nch; c++ {
 		mu := head[c]
 		ls := head[r.nch+c]

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"gendt/internal/dataset"
@@ -22,7 +23,7 @@ func freezeFixture(t *testing.T) (*Model, *Sequence) {
 
 func TestParsePrecision(t *testing.T) {
 	for in, want := range map[string]Precision{
-		"": PrecisionF64, "f64": PrecisionF64, "f32": PrecisionF32, "int8": PrecisionInt8,
+		"": PrecisionF64, "f64": PrecisionF64, "f32": PrecisionF32,
 	} {
 		got, err := ParsePrecision(in)
 		if err != nil || got != want {
@@ -50,72 +51,62 @@ func TestFreezeRejectsF64(t *testing.T) {
 // GenerateJobs concurrency.
 func TestFrozenDeterministicPerPrecision(t *testing.T) {
 	m, seq := freezeFixture(t)
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		im, err := m.Freeze(p)
-		if err != nil {
-			t.Fatal(err)
+	im, err := m.Freeze(PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := im.GenerateSeeded(seq, 42)
+	b := im.GenerateSeeded(seq, 42)
+	if !series2Equal(a, b) {
+		t.Fatalf("repeated GenerateSeeded not bit-exact")
+	}
+	jobs := []GenJob{{Seq: seq, Seed: 42}, {Seq: seq, Seed: 7}, {Seq: seq, Seed: 42}}
+	serial := im.WithWorkers(1).GenerateJobs(jobs)
+	par := im.WithWorkers(3).GenerateJobs(jobs)
+	for i := range jobs {
+		if !series2Equal(serial[i], par[i]) {
+			t.Fatalf("job %d differs between Workers=1 and Workers=3", i)
 		}
-		a := im.GenerateSeeded(seq, 42)
-		b := im.GenerateSeeded(seq, 42)
-		if !series2Equal(a, b) {
-			t.Fatalf("%s: repeated GenerateSeeded not bit-exact", p)
-		}
-		jobs := []GenJob{{Seq: seq, Seed: 42}, {Seq: seq, Seed: 7}, {Seq: seq, Seed: 42}}
-		serial := im.WithWorkers(1).GenerateJobs(jobs)
-		par := im.WithWorkers(3).GenerateJobs(jobs)
-		for i := range jobs {
-			if !series2Equal(serial[i], par[i]) {
-				t.Fatalf("%s: job %d differs between Workers=1 and Workers=3", p, i)
-			}
-		}
-		if !series2Equal(serial[0], serial[2]) {
-			t.Fatalf("%s: same-seed jobs differ", p)
-		}
-		direct := im.DenormalizeSeries(im.GenerateSeeded(seq, 42))
-		if !series2Equal(serial[0], direct) {
-			t.Fatalf("%s: GenerateJobs vs direct GenerateSeeded differ", p)
-		}
+	}
+	if !series2Equal(serial[0], serial[2]) {
+		t.Fatalf("same-seed jobs differ")
+	}
+	direct := im.DenormalizeSeries(im.GenerateSeeded(seq, 42))
+	if !series2Equal(serial[0], direct) {
+		t.Fatalf("GenerateJobs vs direct GenerateSeeded differ")
 	}
 }
 
-// TestFrozenCloseToF64 bounds the frozen backends' drift from the live
+// TestFrozenCloseToF64 bounds the frozen backend's drift from the live
 // model. The paths draw identical RNG schedules, so with the same seed the
 // series differ only by arithmetic precision: f32 stays within a few ulps
-// compounded over the recurrence, int8 within the quantization budget.
-// These are sanity bounds — the real faithfulness gate is gendt-validate's
-// distributional suite, which CI runs against both frozen backends.
+// compounded over the recurrence. This is a sanity bound — the real
+// faithfulness gate is gendt-validate's distributional suite, which CI
+// runs against the frozen backend.
 func TestFrozenCloseToF64(t *testing.T) {
 	m, seq := freezeFixture(t)
 	ref := m.GenerateSeeded(seq, 9)
-	for _, tc := range []struct {
-		p   Precision
-		tol float64
-	}{
-		// The recurrent nets are chaotic-ish: tiny rounding differences
-		// compound across steps, so the bounds are loose but still far
-		// tighter than the [0,1] output range.
-		{PrecisionF32, 0.15},
-		{PrecisionInt8, 0.35},
-	} {
-		im, err := m.Freeze(tc.p)
-		if err != nil {
-			t.Fatal(err)
+	im, err := m.Freeze(PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := im.GenerateSeeded(seq, 9)
+	if len(got) != len(ref) {
+		t.Fatalf("length %d vs %d", len(got), len(ref))
+	}
+	var sum float64
+	var n int
+	for t2 := range ref {
+		for c := range ref[t2] {
+			sum += math.Abs(got[t2][c] - ref[t2][c])
+			n++
 		}
-		got := im.GenerateSeeded(seq, 9)
-		if len(got) != len(ref) {
-			t.Fatalf("%s: length %d vs %d", tc.p, len(got), len(ref))
-		}
-		var sum float64
-		var n int
-		for t2 := range ref {
-			for c := range ref[t2] {
-				sum += math.Abs(got[t2][c] - ref[t2][c])
-				n++
-			}
-		}
-		if mean := sum / float64(n); mean > tc.tol {
-			t.Errorf("%s: mean |frozen - f64| = %.4f, want <= %.3f", tc.p, mean, tc.tol)
-		}
+	}
+	// The recurrent nets are chaotic-ish: tiny rounding differences
+	// compound across steps, so the bound is loose but still far tighter
+	// than the [0,1] output range.
+	if mean := sum / float64(n); mean > 0.15 {
+		t.Errorf("mean |frozen - f64| = %.4f, want <= 0.15", mean)
 	}
 }
 
@@ -148,7 +139,7 @@ func TestFrozenMatchesConfigShape(t *testing.T) {
 // precision loads with it intact, and corrupt values are rejected.
 func TestPrecisionPersistRoundTrip(t *testing.T) {
 	m, _ := freezeFixture(t)
-	m.Cfg.Precision = PrecisionInt8
+	m.Cfg.Precision = PrecisionF32
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -158,11 +149,11 @@ func TestPrecisionPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Cfg.Precision != PrecisionInt8 {
-		t.Errorf("loaded precision = %q, want int8", loaded.Cfg.Precision)
+	if loaded.Cfg.Precision != PrecisionF32 {
+		t.Errorf("loaded precision = %q, want f32", loaded.Cfg.Precision)
 	}
 
-	data := bytes.ReplaceAll(saved, []byte(`"precision":"int8"`), []byte(`"precision":"zzz"`))
+	data := bytes.ReplaceAll(saved, []byte(`"precision":"f32"`), []byte(`"precision":"zzz"`))
 	if bytes.Equal(data, saved) {
 		t.Fatal("snapshot layout changed; precision field not found")
 	}
@@ -171,6 +162,31 @@ func TestPrecisionPersistRoundTrip(t *testing.T) {
 	// which is itself a pass (the file is rejected).
 	if _, err := Load(bytes.NewReader(data)); err == nil {
 		t.Error("corrupt precision must not load")
+	}
+}
+
+// TestLoadRejectsInt8Precision: the int8 backend is gone, so a model file
+// that still asks for it fails to load through ParsePrecision's error
+// (checksum intact), and the flag parser refuses the value too.
+func TestLoadRejectsInt8Precision(t *testing.T) {
+	if _, err := ParsePrecision("int8"); err == nil {
+		t.Error(`ParsePrecision("int8") must fail`)
+	}
+	m, _ := freezeFixture(t)
+	m.Cfg.Precision = Precision("int8")
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"precision":"int8"`)) {
+		t.Fatal("snapshot layout changed; precision field not found")
+	}
+	_, err := Load(&buf)
+	if err == nil {
+		t.Fatal(`Load of a "precision":"int8" model must fail`)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `unknown precision "int8" (want f64, f32)`) {
+		t.Errorf("Load error = %q, want the ParsePrecision error listing f64, f32", msg)
 	}
 }
 

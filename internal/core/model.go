@@ -48,7 +48,7 @@ type Config struct {
 	// Precision records the preferred serving backend for this model
 	// (empty means f64, the live model). It does not change training —
 	// training is always float64 — but Save/Load round-trip it so a model
-	// file can declare "serve me quantized" and the serving registry
+	// file can declare "serve me frozen f32" and the serving registry
 	// freezes it accordingly unless overridden by -precision.
 	Precision Precision
 

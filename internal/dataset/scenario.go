@@ -9,11 +9,12 @@ import (
 	"gendt/internal/scenario"
 )
 
-// FromScenario compiles a bound scenario into a Dataset — the path every
-// registered config file (including A and B themselves) takes through
-// NewByName.
+// FromScenario compiles a bound scenario into a Dataset — the one path
+// every world takes, A and B included (NewByName, NewDatasetA/B). A
+// non-finite spec.Scale fails with an error wrapping
+// scenario.ErrNonFinite.
 func FromScenario(sc *scenario.Scenario, spec Spec) (*Dataset, error) {
-	w, built, err := scenario.Build(sc, spec.Seed, spec.scale())
+	w, built, err := scenario.Build(sc, spec.Seed, spec.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -28,8 +29,7 @@ func FromScenario(sc *scenario.Scenario, spec Spec) (*Dataset, error) {
 // cells, every trajectory sample, and every measurement including context
 // annotations — with FNV-64a over exact float bits. Two datasets share a
 // fingerprint iff they are bit-identical, which is how the golden
-// regression test proves the DSL-compiled A/B equal the historical
-// constructors.
+// regression test pins the bytes of A, B, and the long run.
 func (d *Dataset) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

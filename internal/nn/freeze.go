@@ -5,110 +5,48 @@ import (
 	"math/rand"
 )
 
-// Frozen inference layers: immutable float32 (or int8) snapshots of the
-// trained float64 layers, shaped for the blocked kernels in kernels.go.
-// Freezing separates weights from state — a FrozenDense/InferLSTM holds
-// only weights and is safe to share across any number of goroutines, while
+// Frozen inference layers: immutable float32 snapshots of the trained
+// float64 layers, shaped for the blocked kernels in kernels.go. Freezing
+// separates weights from state — a FrozenDense/InferLSTM holds only
+// weights and is safe to share across any number of goroutines, while
 // every generation job owns an InferLSTMState — which is what lets the
 // serving path run on one frozen snapshot with zero cloning.
 
-// FrozenDense is an immutable dense weight block with either a float32 or
-// an int8 backend. Exactly one of W and Q is set; Bias (optional) is kept
-// in float32 for both backends — quantizing a bias saves nothing and
-// costs accuracy, since it is added once per output, not multiplied
-// per column.
-//
-// The f32 backend additionally carries a column-major mirror (WT) with
+// FrozenDense is an immutable float32 dense weight block in the layout
+// GemvColF32's AVX kernel wants: a column-major weight mirror (WT) with
 // rows zero-padded to the 8-lane kernel width, plus the bias pre-padded
-// to match (BiasPad): that is the layout GemvColF32's AVX kernel wants,
-// and the zero padding means the kernel can always write full register
-// tiles into a y of at least PadRows entries — the pad rows compute
-// 0·x+0 and land beyond y[:Rows], where callers never look.
+// to match (BiasPad). The zero padding means the kernel can always write
+// full register tiles into a y of at least PadRows entries — the pad rows
+// compute 0·x+0 and land beyond y[:Rows], where callers never look.
 type FrozenDense struct {
 	Rows, Cols int
 	PadRows    int       // Rows rounded up to the 8-lane kernel width
-	W          []float32 // row-major f32 weights (nil when quantized)
-	WT         []float32 // column-major [Cols][PadRows] mirror (f32 only)
-	BiasPad    []float32 // [PadRows] bias, zeros where absent (f32 only)
-	Q          []int8    // int8 backend (nil when f32)
-	RowScale   []float32 // per-output-row dequantization scales (int8 only)
-	Bias       []float32 // len Rows, or nil
+	WT         []float32 // column-major [Cols][PadRows] weights
+	BiasPad    []float32 // [PadRows] bias, zeros where absent
 }
 
-// Apply computes y = W·x (+ bias). xq is caller scratch of at least Cols
-// for the int8 backend's dynamically quantized activations; the f32
-// backend ignores it. The f32 backend takes the blocked column-major
-// kernel whenever the caller's y has room for the padded rows, which
-// every hot-path scratch buffer does; a short y falls back to the
-// row-major kernel and stays correct.
-func (d *FrozenDense) Apply(x, y []float32, xq []int8) {
-	if d.W != nil {
-		if len(y) >= d.PadRows {
-			GemvColF32(d.WT, d.PadRows, d.Cols, x, d.BiasPad, y)
-			return
-		}
-		MatVecF32(d.W, d.Rows, d.Cols, x, y)
-	} else {
-		xScale := QuantizeVecInt8(x[:d.Cols], xq)
-		MatVecInt8(d.Q, d.Rows, d.Cols, xq, d.RowScale, xScale, y)
-	}
-	if d.Bias != nil {
-		for i, b := range d.Bias[:d.Rows] {
-			y[i] += b
-		}
-	}
-}
-
-// BatchScratch is reusable scratch for ApplyBatch's int8 backend: the
-// per-lane dynamically quantized activations and their scales. The f32
-// backend never touches it. One scratch per batch state is enough — the
-// contents are dead once the matmul returns.
-type BatchScratch struct {
-	XQ     []int8
-	Scales []float32
+// Apply computes y = W·x (+ bias) into y[:Rows]. y must have room for
+// the padded rows (len(y) >= PadRows), which every scratch buffer sized
+// from PadRows does; GemvColF32 panics on a shorter y.
+func (d *FrozenDense) Apply(x, y []float32) {
+	GemvColF32(d.WT, d.PadRows, d.Cols, x, d.BiasPad, y)
 }
 
 // ApplyBatch is the batched Apply: y_b = W·x_b (+ bias) for nb lanes,
-// lane b's input at x[b*xStride:] and output at y[b*yStride:]. The f32
-// backend requires yStride >= PadRows (every batched caller sizes its
-// planes that way); each lane's result is bit-identical to a standalone
-// Apply on the same input, for both backends — the f32 GEMM preserves
-// GemvColF32's per-row accumulation order, and the int8 matmul is exact
-// in int32 with the same dequantization expression and bias loop.
-func (d *FrozenDense) ApplyBatch(x []float32, xStride int, y []float32, yStride, nb int, sc *BatchScratch) {
-	if d.W != nil {
-		if yStride < d.PadRows {
-			panic("nn: ApplyBatch yStride below PadRows")
-		}
-		GemmColF32(d.WT, d.PadRows, d.Cols, x, xStride, d.BiasPad, y, yStride, nb)
-		return
+// lane b's input at x[b*xStride:] and output at y[b*yStride:]. It
+// requires yStride >= PadRows (every batched caller sizes its planes that
+// way); each lane's result is bit-identical to a standalone Apply on the
+// same input, because the GEMM preserves GemvColF32's per-row
+// accumulation order.
+func (d *FrozenDense) ApplyBatch(x []float32, xStride int, y []float32, yStride, nb int) {
+	if yStride < d.PadRows {
+		panic("nn: ApplyBatch yStride below PadRows")
 	}
-	need := nb * d.Cols
-	if cap(sc.XQ) < need {
-		sc.XQ = make([]int8, need)
-	}
-	sc.XQ = sc.XQ[:need]
-	if cap(sc.Scales) < nb {
-		sc.Scales = make([]float32, nb)
-	}
-	sc.Scales = sc.Scales[:nb]
-	for b := 0; b < nb; b++ {
-		sc.Scales[b] = QuantizeVecInt8(x[b*xStride:b*xStride+d.Cols], sc.XQ[b*d.Cols:])
-	}
-	MatVecInt8Batch(d.Q, d.Rows, d.Cols, sc.XQ, d.Cols, d.RowScale, sc.Scales, y, yStride, nb)
-	if d.Bias != nil {
-		for b := 0; b < nb; b++ {
-			yb := y[b*yStride:]
-			for i, bv := range d.Bias[:d.Rows] {
-				yb[i] += bv
-			}
-		}
-	}
+	GemmColF32(d.WT, d.PadRows, d.Cols, x, xStride, d.BiasPad, y, yStride, nb)
 }
 
-// newFrozenDense builds a FrozenDense from float64 row-major weights,
-// quantizing to int8 when quant is set.
-func newFrozenDense(w64 []float64, rows, cols int, bias64 []float64, quant bool) *FrozenDense {
+// newFrozenDense builds a FrozenDense from float64 row-major weights.
+func newFrozenDense(w64 []float64, rows, cols int, bias64 []float64) *FrozenDense {
 	if len(w64) < rows*cols {
 		panic("nn: newFrozenDense weight size mismatch")
 	}
@@ -117,33 +55,24 @@ func newFrozenDense(w64 []float64, rows, cols int, bias64 []float64, quant bool)
 	for i := range w {
 		w[i] = float32(w64[i])
 	}
-	if bias64 != nil {
-		d.Bias = make([]float32, rows)
-		for i := range d.Bias {
-			d.Bias[i] = float32(bias64[i])
-		}
-	}
-	if quant {
-		d.Q, d.RowScale = QuantizeRowsInt8(w, rows, cols)
-	} else {
-		d.W = w
-		d.WT = PackColMajor(w, rows, cols)
-		d.BiasPad = make([]float32, d.PadRows)
-		copy(d.BiasPad, d.Bias)
+	d.WT = PackColMajor(w, rows, cols)
+	d.BiasPad = make([]float32, d.PadRows)
+	for i, b := range bias64 {
+		d.BiasPad[i] = float32(b)
 	}
 	return d
 }
 
 // FreezeLinear snapshots a Linear layer for inference.
-func FreezeLinear(l *Linear, quant bool) *FrozenDense {
-	return newFrozenDense(l.W.W, l.Out, l.In, l.B.W, quant)
+func FreezeLinear(l *Linear) *FrozenDense {
+	return newFrozenDense(l.W.W, l.Out, l.In, l.B.W)
 }
 
 // InferLSTM is the frozen counterpart of LSTM. The four gate matmuls of a
 // step are fused into one packed [4H × (In+H)] GEMV over xh = [x; h], so
 // the whole weight block streams through cache exactly once per step. The
 // per-row bias column of the trained layout is split out into the dense's
-// float32 Bias (biases must not be quantized away with the weights).
+// padded bias.
 // Gate rows are restacked [i; f; o; g] — sigmoid gates first — so the
 // step applies the vectorized sigmoid to one contiguous 3H block and the
 // vectorized tanh to the last H.
@@ -157,15 +86,22 @@ type InferLSTM struct {
 	// the sigmoid block [i; f; o] (3H rows) and the tanh block g (H
 	// rows) — frozen separately so the batched path can run each
 	// activation as ONE vector call over a contiguous multi-lane plane.
-	// Per-row f32 packing and per-row int8 quantization are both
-	// row-independent, so these produce bit-identical outputs to the
-	// corresponding rows of the fused 4H matmul.
+	// Per-row packing is row-independent, so these produce bit-identical
+	// outputs to the corresponding rows of the fused 4H matmul.
 	GatesSig *FrozenDense
 	GatesG   *FrozenDense
 }
 
 // FreezeLSTM repacks a trained LSTM's gate weights for the fused kernel.
+//
+// The int8 backend was removed; quant must be false, and true panics. The
+// parameter stays only for source compatibility with the servebench
+// module, which calls FreezeLSTM(l, false); a benchmark change can drop
+// it.
 func FreezeLSTM(l *LSTM, quant bool) *InferLSTM {
+	if quant {
+		panic("nn: FreezeLSTM: the int8 backend was removed; quant must be false")
+	}
 	H := l.Hidden
 	srcCols := l.In + H + 1
 	dstCols := l.In + H
@@ -184,9 +120,9 @@ func FreezeLSTM(l *LSTM, quant bool) *InferLSTM {
 	return &InferLSTM{
 		In: l.In, Hidden: H,
 		AH: float32(l.AH), AC: float32(l.AC), Noise: l.NoiseActive,
-		Gates:    newFrozenDense(w64, 4*H, dstCols, bias64, quant),
-		GatesSig: newFrozenDense(w64[:3*H*dstCols], 3*H, dstCols, bias64[:3*H], quant),
-		GatesG:   newFrozenDense(w64[3*H*dstCols:], H, dstCols, bias64[3*H:], quant),
+		Gates:    newFrozenDense(w64, 4*H, dstCols, bias64),
+		GatesSig: newFrozenDense(w64[:3*H*dstCols], 3*H, dstCols, bias64[:3*H]),
+		GatesG:   newFrozenDense(w64[3*H*dstCols:], H, dstCols, bias64[3*H:]),
 	}
 }
 
@@ -204,7 +140,6 @@ type InferLSTMState struct {
 	gt   []float32 // tanh(g-gate) scratch, padded
 	xh   []float32 // packed [x; h] GEMV input; callers write x into Input()
 	z    []float32 // gate pre-activations, padded (see Step's layout note)
-	xq   []int8    // int8 backend activation scratch
 }
 
 // NewState allocates a zeroed state sized for this LSTM.
@@ -224,7 +159,6 @@ func (l *InferLSTM) NewState() *InferLSTMState {
 		gt: make([]float32, pad8(H)),
 		xh: xh,
 		z:  make([]float32, pad8(3*H)+pad8(H)),
-		xq: make([]int8, l.In+H),
 	}
 }
 
@@ -247,7 +181,7 @@ func (st *InferLSTMState) Input(in int) []float32 { return st.xh[:in] }
 // semantics in float32. The returned slice aliases st.H and is valid
 // until the next Step or Reset on the same state.
 func (l *InferLSTM) Step(st *InferLSTMState, rng *rand.Rand) []float32 {
-	l.Gates.Apply(st.xh, st.z, st.xq) // st.H aliases xh[In:], so xh is [x; h]
+	l.Gates.Apply(st.xh, st.z) // st.H aliases xh[In:], so xh is [x; h]
 	H := l.Hidden
 	zi, zf, zo := st.z[:H], st.z[H:2*H], st.z[2*H:3*H]
 	// Every activation pass below runs on full 8-lane blocks — the
@@ -287,7 +221,6 @@ type InferLSTMBatchState struct {
 	gt          []float32 // [nb][pad8(H)] tanh(g) scratch
 	zsig        []float32 // [nb][pad8(3H)] [i; f; o] pre-activations
 	zg          []float32 // [nb][pad8(H)] g pre-activations
-	sc          BatchScratch
 }
 
 // NewBatchState allocates a zeroed nb-lane batch state for this LSTM.
@@ -360,11 +293,11 @@ func (l *InferLSTM) StepBatch(st *InferLSTMBatchState, nb int, active []bool, rn
 		panic("nn: StepBatch lane count exceeds state capacity")
 	}
 	H := l.Hidden
-	l.GatesSig.ApplyBatch(st.xh, st.sx, st.zsig, st.ps, nb, &st.sc)
-	l.GatesG.ApplyBatch(st.xh, st.sx, st.zg, st.ph, nb, &st.sc)
-	// One activation call per plane. Pad lanes hold matmul zeros (f32) or
-	// stale scratch; the activations write dead values there that nothing
-	// reads — same contract as the sequential path's padded z regions.
+	l.GatesSig.ApplyBatch(st.xh, st.sx, st.zsig, st.ps, nb)
+	l.GatesG.ApplyBatch(st.xh, st.sx, st.zg, st.ph, nb)
+	// One activation call per plane. Pad lanes hold matmul zeros; the
+	// activations write dead values there that nothing reads — same
+	// contract as the sequential path's padded z regions.
 	TanhVecF32(st.gt[:nb*st.ph], st.zg[:nb*st.ph])
 	SigmoidVecF32(st.zsig[:nb*st.ps])
 	for b := 0; b < nb; b++ {

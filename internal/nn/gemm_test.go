@@ -100,63 +100,26 @@ func TestGemmColF32PanicsOnBadShape(t *testing.T) {
 	GemmColF32(make([]float32, 8*3), 8, 3, make([]float32, 4), 2, make([]float32, 8), make([]float32, 16), 8, 2)
 }
 
-func TestMatVecInt8BatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, rows := range []int{1, 3, 9, 24} {
-		for _, cols := range []int{1, 4, 6, 21} {
-			for _, nb := range []int{1, 3, 5, 8} {
-				w := make([]float32, rows*cols)
-				fillNorm(w, rng)
-				q, rowScale := QuantizeRowsInt8(w, rows, cols)
-				xqStride := cols + 2
-				xq := make([]int8, nb*xqStride)
-				for i := range xq {
-					xq[i] = int8(rng.Intn(255) - 127)
-				}
-				scales := make([]float32, nb)
-				fillNorm(scales, rng)
-				yStride := rows + 3
-				y := make([]float32, nb*yStride)
-				MatVecInt8Batch(q, rows, cols, xq, xqStride, rowScale, scales, y, yStride, nb)
-				yRef := make([]float32, rows)
-				for b := 0; b < nb; b++ {
-					MatVecInt8(q, rows, cols, xq[b*xqStride:b*xqStride+cols], rowScale, scales[b], yRef)
-					for r := 0; r < rows; r++ {
-						if y[b*yStride+r] != yRef[r] {
-							t.Fatalf("%dx%d nb=%d lane %d row %d: batch %v != single %v",
-								rows, cols, nb, b, r, y[b*yStride+r], yRef[r])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestApplyBatchMatchesApply(t *testing.T) {
 	withKernelFallback(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(14))
 		l := NewLinear(13, 11, rng)
 		defer l.ClearCache()
-		for _, quant := range []bool{false, true} {
-			d := FreezeLinear(l, quant)
-			nb := 6
-			xStride := 13 + 2
-			yStride := d.PadRows + 4
-			x := make([]float32, nb*xStride)
-			fillNorm(x, rng)
-			y := make([]float32, nb*yStride)
-			var sc BatchScratch
-			d.ApplyBatch(x, xStride, y, yStride, nb, &sc)
-			yRef := make([]float32, d.PadRows)
-			xq := make([]int8, 13)
-			for b := 0; b < nb; b++ {
-				d.Apply(x[b*xStride:b*xStride+13], yRef, xq)
-				for r := 0; r < d.Rows; r++ {
-					if y[b*yStride+r] != yRef[r] {
-						t.Fatalf("quant=%v lane %d row %d: ApplyBatch %v != Apply %v",
-							quant, b, r, y[b*yStride+r], yRef[r])
-					}
+		d := FreezeLinear(l)
+		nb := 6
+		xStride := 13 + 2
+		yStride := d.PadRows + 4
+		x := make([]float32, nb*xStride)
+		fillNorm(x, rng)
+		y := make([]float32, nb*yStride)
+		d.ApplyBatch(x, xStride, y, yStride, nb)
+		yRef := make([]float32, d.PadRows)
+		for b := 0; b < nb; b++ {
+			d.Apply(x[b*xStride:b*xStride+13], yRef)
+			for r := 0; r < d.Rows; r++ {
+				if y[b*yStride+r] != yRef[r] {
+					t.Fatalf("lane %d row %d: ApplyBatch %v != Apply %v",
+						b, r, y[b*yStride+r], yRef[r])
 				}
 			}
 		}
@@ -165,71 +128,69 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 
 // TestStepBatchMatchesStep drives nb lockstep lanes and nb independent
 // sequential states with identical per-lane inputs and RNG seeds (noise
-// modulation on), asserting bit-identical H and C every step for both
-// precisions — the property the batched generation engine is built on.
+// modulation on), asserting bit-identical H and C every step — the
+// property the batched generation engine is built on.
 func TestStepBatchMatchesStep(t *testing.T) {
 	withKernelFallback(t, func(t *testing.T) {
 		setup := rand.New(rand.NewSource(15))
 		l := NewLSTM(5, 9, setup)
 		l.NoiseActive = true
 		defer l.ClearCache()
-		for _, quant := range []bool{false, true} {
-			fr := FreezeLSTM(l, quant)
-			const nb = 5
-			bst := fr.NewBatchState(nb)
-			rngs := make([]*rand.Rand, nb)
-			seqSt := make([]*InferLSTMState, nb)
-			seqRngs := make([]*rand.Rand, nb)
+		fr := FreezeLSTM(l, false)
+		const nb = 5
+		bst := fr.NewBatchState(nb)
+		rngs := make([]*rand.Rand, nb)
+		seqSt := make([]*InferLSTMState, nb)
+		seqRngs := make([]*rand.Rand, nb)
+		for b := 0; b < nb; b++ {
+			bst.ResetLane(b)
+			rngs[b] = rand.New(rand.NewSource(int64(100 + b)))
+			seqSt[b] = fr.NewState()
+			fr.Reset(seqSt[b])
+			seqRngs[b] = rand.New(rand.NewSource(int64(100 + b)))
+		}
+		inRng := rand.New(rand.NewSource(16))
+		for step := 0; step < 8; step++ {
+			// Lanes at and past their sequence end go inactive; the
+			// sequential twin simply stops stepping them.
+			active := make([]bool, nb)
 			for b := 0; b < nb; b++ {
-				bst.ResetLane(b)
-				rngs[b] = rand.New(rand.NewSource(int64(100 + b)))
-				seqSt[b] = fr.NewState()
-				fr.Reset(seqSt[b])
-				seqRngs[b] = rand.New(rand.NewSource(int64(100 + b)))
+				active[b] = step < 4+b // lane b retires after 4+b steps
 			}
-			inRng := rand.New(rand.NewSource(16))
-			for step := 0; step < 8; step++ {
-				// Lanes at and past their sequence end go inactive; the
-				// sequential twin simply stops stepping them.
-				active := make([]bool, nb)
-				for b := 0; b < nb; b++ {
-					active[b] = step < 4+b // lane b retires after 4+b steps
+			for b := 0; b < nb; b++ {
+				in := make([]float32, 5)
+				fillNorm(in, inRng)
+				if !active[b] {
+					continue
 				}
-				for b := 0; b < nb; b++ {
-					in := make([]float32, 5)
-					fillNorm(in, inRng)
-					if !active[b] {
-						continue
+				copy(bst.Input(b), in)
+				copy(seqSt[b].Input(5), in)
+			}
+			fr.StepBatch(bst, nb, active, rngs)
+			for b := 0; b < nb; b++ {
+				if !active[b] {
+					continue
+				}
+				fr.Step(seqSt[b], seqRngs[b])
+			}
+			for b := 0; b < nb; b++ {
+				h, c := bst.H(b), bst.C(b)
+				for j := 0; j < 9; j++ {
+					if h[j] != seqSt[b].H[j] {
+						t.Fatalf("step %d lane %d h[%d]: batch %v != seq %v",
+							step, b, j, h[j], seqSt[b].H[j])
 					}
-					copy(bst.Input(b), in)
-					copy(seqSt[b].Input(5), in)
-				}
-				fr.StepBatch(bst, nb, active, rngs)
-				for b := 0; b < nb; b++ {
-					if !active[b] {
-						continue
-					}
-					fr.Step(seqSt[b], seqRngs[b])
-				}
-				for b := 0; b < nb; b++ {
-					h, c := bst.H(b), bst.C(b)
-					for j := 0; j < 9; j++ {
-						if h[j] != seqSt[b].H[j] {
-							t.Fatalf("quant=%v step %d lane %d h[%d]: batch %v != seq %v",
-								quant, step, b, j, h[j], seqSt[b].H[j])
-						}
-						if c[j] != seqSt[b].C[j] {
-							t.Fatalf("quant=%v step %d lane %d c[%d]: batch %v != seq %v",
-								quant, step, b, j, c[j], seqSt[b].C[j])
-						}
+					if c[j] != seqSt[b].C[j] {
+						t.Fatalf("step %d lane %d c[%d]: batch %v != seq %v",
+							step, b, j, c[j], seqSt[b].C[j])
 					}
 				}
 			}
-			// Retired lanes drew nothing extra: the streams still agree.
-			for b := 0; b < nb; b++ {
-				if rngs[b].Int63() != seqRngs[b].Int63() {
-					t.Fatalf("quant=%v lane %d: batched RNG stream diverged", quant, b)
-				}
+		}
+		// Retired lanes drew nothing extra: the streams still agree.
+		for b := 0; b < nb; b++ {
+			if rngs[b].Int63() != seqRngs[b].Int63() {
+				t.Fatalf("lane %d: batched RNG stream diverged", b)
 			}
 		}
 	})
@@ -237,7 +198,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 
 // FuzzGemmShapes hammers GemmColF32 with arbitrary shapes, strides, and
 // lane counts, asserting exact equality with per-lane GemvColF32 on both
-// kernel paths. Mirrors FuzzQuantize's wiring into the CI fuzz smoke.
+// kernel paths.
 func FuzzGemmShapes(f *testing.F) {
 	f.Add(int8(3), int8(5), int8(4), int8(2), int8(1), int64(1))
 	f.Add(int8(16), int8(1), int8(9), int8(0), int8(0), int64(2))

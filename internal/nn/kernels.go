@@ -2,55 +2,12 @@ package nn
 
 import "math"
 
-// Inference kernels: cache-blocked float32 and int8 matrix-vector products
-// plus fast float32 activations. These back the frozen inference path
-// (core.Model.Freeze); training stays on the float64 layers. The kernels
+// Inference kernels: column-major float32 matrix-vector and matrix-matrix
+// products plus fast float32 activations. These back the frozen inference
+// path (core.Model.Freeze); training stays on the float64 layers. The kernels
 // are deterministic — no data-dependent branching, no parallel reduction —
 // so a frozen model's output is a pure function of (weights, input) and
 // the per-precision bit-exactness contract holds.
-
-// MatVecF32 computes y = A·x for a row-major rows×cols matrix, blocked
-// over 4 output rows so each pass streams four weight rows against one
-// load of x, with the inner column loop unrolled 4×. y must have at least
-// rows elements; only y[:rows] is written.
-func MatVecF32(a []float32, rows, cols int, x, y []float32) {
-	if len(a) < rows*cols || len(x) < cols || len(y) < rows {
-		panic("nn: MatVecF32 dimension mismatch")
-	}
-	x = x[:cols]
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		r0 := a[(r+0)*cols : (r+1)*cols]
-		r1 := a[(r+1)*cols : (r+2)*cols]
-		r2 := a[(r+2)*cols : (r+3)*cols]
-		r3 := a[(r+3)*cols : (r+4)*cols]
-		var s0, s1, s2, s3 float32
-		c := 0
-		for ; c+4 <= cols; c += 4 {
-			x0, x1, x2, x3 := x[c], x[c+1], x[c+2], x[c+3]
-			s0 += r0[c]*x0 + r0[c+1]*x1 + r0[c+2]*x2 + r0[c+3]*x3
-			s1 += r1[c]*x0 + r1[c+1]*x1 + r1[c+2]*x2 + r1[c+3]*x3
-			s2 += r2[c]*x0 + r2[c+1]*x1 + r2[c+2]*x2 + r2[c+3]*x3
-			s3 += r3[c]*x0 + r3[c+1]*x1 + r3[c+2]*x2 + r3[c+3]*x3
-		}
-		for ; c < cols; c++ {
-			xv := x[c]
-			s0 += r0[c] * xv
-			s1 += r1[c] * xv
-			s2 += r2[c] * xv
-			s3 += r3[c] * xv
-		}
-		y[r], y[r+1], y[r+2], y[r+3] = s0, s1, s2, s3
-	}
-	for ; r < rows; r++ {
-		row := a[r*cols : (r+1)*cols]
-		var s float32
-		for c, xv := range x {
-			s += row[c] * xv
-		}
-		y[r] = s
-	}
-}
 
 // pad8 rounds n up to the kernel lane width (8 float32s = one YMM
 // register).
@@ -63,8 +20,8 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 // assembly kernel — broadcast one x element, FMA it against a register
 // tile of weight rows, no horizontal reductions — which is the layout
 // that makes the short, wide layers of a small LSTM fast; elsewhere the
-// equivalent Go loop below runs. Unlike MatVecF32 the bias is fused into
-// the accumulator initialization, so callers never make a second pass.
+// equivalent Go loop below runs. The bias is fused into the accumulator
+// initialization, so callers never make a second pass.
 func GemvColF32(wt []float32, rows8, cols int, x, bias, y []float32) {
 	if rows8%8 != 0 || len(wt) < rows8*cols || len(x) < cols || len(bias) < rows8 || len(y) < rows8 {
 		panic("nn: GemvColF32 dimension mismatch")
@@ -133,74 +90,6 @@ func GemmColF32(wt []float32, rows8, cols int, x []float32, xStride int, bias, y
 	}
 }
 
-// MatVecInt8Batch is the batched MatVecInt8: nb quantized input lanes
-// against one weight block, each weight row streamed once per batch
-// instead of once per lane. Lane b reads xq[b*xqStride:] with its own
-// activation scale xScales[b]. Accumulation is exact in int32 and the
-// dequantization expression matches MatVecInt8's, so each lane's output
-// is bit-identical to a standalone MatVecInt8 call.
-func MatVecInt8Batch(q []int8, rows, cols int, xq []int8, xqStride int, rowScale []float32, xScales []float32, y []float32, yStride, nb int) {
-	if len(q) < rows*cols || xqStride < cols || yStride < rows || len(rowScale) < rows {
-		panic("nn: MatVecInt8Batch dimension mismatch")
-	}
-	if nb <= 0 || rows == 0 || cols == 0 {
-		return
-	}
-	if len(xq) < (nb-1)*xqStride+cols || len(xScales) < nb || len(y) < (nb-1)*yStride+rows {
-		panic("nn: MatVecInt8Batch dimension mismatch")
-	}
-	// Same 4-row blocking as MatVecInt8 (4 independent accumulators per
-	// lane), lane-mid so each 4-row weight tile is reused across the whole
-	// batch from cache. Exact int32 accumulation makes the op order free.
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		r0 := q[(r+0)*cols : (r+1)*cols]
-		r1 := q[(r+1)*cols : (r+2)*cols]
-		r2 := q[(r+2)*cols : (r+3)*cols]
-		r3 := q[(r+3)*cols : (r+4)*cols]
-		for b := 0; b < nb; b++ {
-			xb := xq[b*xqStride : b*xqStride+cols]
-			var s0, s1, s2, s3 int32
-			c := 0
-			for ; c+4 <= cols; c += 4 {
-				x0 := int32(xb[c])
-				x1 := int32(xb[c+1])
-				x2 := int32(xb[c+2])
-				x3 := int32(xb[c+3])
-				s0 += int32(r0[c])*x0 + int32(r0[c+1])*x1 + int32(r0[c+2])*x2 + int32(r0[c+3])*x3
-				s1 += int32(r1[c])*x0 + int32(r1[c+1])*x1 + int32(r1[c+2])*x2 + int32(r1[c+3])*x3
-				s2 += int32(r2[c])*x0 + int32(r2[c+1])*x1 + int32(r2[c+2])*x2 + int32(r2[c+3])*x3
-				s3 += int32(r3[c])*x0 + int32(r3[c+1])*x1 + int32(r3[c+2])*x2 + int32(r3[c+3])*x3
-			}
-			for ; c < cols; c++ {
-				xv := int32(xb[c])
-				s0 += int32(r0[c]) * xv
-				s1 += int32(r1[c]) * xv
-				s2 += int32(r2[c]) * xv
-				s3 += int32(r3[c]) * xv
-			}
-			xs := xScales[b]
-			yb := y[b*yStride:]
-			yb[r+0] = float32(s0) * rowScale[r+0] * xs
-			yb[r+1] = float32(s1) * rowScale[r+1] * xs
-			yb[r+2] = float32(s2) * rowScale[r+2] * xs
-			yb[r+3] = float32(s3) * rowScale[r+3] * xs
-		}
-	}
-	for ; r < rows; r++ {
-		row := q[r*cols : (r+1)*cols]
-		rs := rowScale[r]
-		for b := 0; b < nb; b++ {
-			xb := xq[b*xqStride : b*xqStride+cols]
-			var s int32
-			for c, xv := range xb {
-				s += int32(row[c]) * int32(xv)
-			}
-			y[b*yStride+r] = float32(s) * rs * xScales[b]
-		}
-	}
-}
-
 // PackColMajor builds the column-major, row-padded mirror GemvColF32
 // wants from a row-major rows×cols matrix.
 func PackColMajor(a []float32, rows, cols int) []float32 {
@@ -248,56 +137,6 @@ func sigVec(dst, src []float32, negScale, a, b float32) {
 	}
 	for i := n8; i < n; i++ {
 		dst[i] = sigTransF32(src[i], negScale, a, b)
-	}
-}
-
-// MatVecInt8 computes y[r] = (Σ_c q[r][c]·xq[c]) · rowScale[r] · xScale
-// for a row-major rows×cols int8 matrix against an int8-quantized input.
-// Accumulation is exact in int32 (127·127·cols stays far below overflow
-// for any realistic layer width), so the only rounding is the final
-// two-scale dequantization. Blocked like MatVecF32.
-func MatVecInt8(q []int8, rows, cols int, xq []int8, rowScale []float32, xScale float32, y []float32) {
-	if len(q) < rows*cols || len(xq) < cols || len(rowScale) < rows || len(y) < rows {
-		panic("nn: MatVecInt8 dimension mismatch")
-	}
-	xq = xq[:cols]
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		r0 := q[(r+0)*cols : (r+1)*cols]
-		r1 := q[(r+1)*cols : (r+2)*cols]
-		r2 := q[(r+2)*cols : (r+3)*cols]
-		r3 := q[(r+3)*cols : (r+4)*cols]
-		var s0, s1, s2, s3 int32
-		c := 0
-		for ; c+4 <= cols; c += 4 {
-			x0 := int32(xq[c])
-			x1 := int32(xq[c+1])
-			x2 := int32(xq[c+2])
-			x3 := int32(xq[c+3])
-			s0 += int32(r0[c])*x0 + int32(r0[c+1])*x1 + int32(r0[c+2])*x2 + int32(r0[c+3])*x3
-			s1 += int32(r1[c])*x0 + int32(r1[c+1])*x1 + int32(r1[c+2])*x2 + int32(r1[c+3])*x3
-			s2 += int32(r2[c])*x0 + int32(r2[c+1])*x1 + int32(r2[c+2])*x2 + int32(r2[c+3])*x3
-			s3 += int32(r3[c])*x0 + int32(r3[c+1])*x1 + int32(r3[c+2])*x2 + int32(r3[c+3])*x3
-		}
-		for ; c < cols; c++ {
-			xv := int32(xq[c])
-			s0 += int32(r0[c]) * xv
-			s1 += int32(r1[c]) * xv
-			s2 += int32(r2[c]) * xv
-			s3 += int32(r3[c]) * xv
-		}
-		y[r+0] = float32(s0) * rowScale[r+0] * xScale
-		y[r+1] = float32(s1) * rowScale[r+1] * xScale
-		y[r+2] = float32(s2) * rowScale[r+2] * xScale
-		y[r+3] = float32(s3) * rowScale[r+3] * xScale
-	}
-	for ; r < rows; r++ {
-		row := q[r*cols : (r+1)*cols]
-		var s int32
-		for c, xv := range xq {
-			s += int32(row[c]) * int32(xv)
-		}
-		y[r] = float32(s) * rowScale[r] * xScale
 	}
 }
 

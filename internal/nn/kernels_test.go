@@ -1,12 +1,14 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// naiveMatVec is the scalar reference the blocked kernel must match.
+// naiveMatVec is the scalar reference the column-major kernels must match.
 func naiveMatVec(a []float32, rows, cols int, x []float32) []float32 {
 	y := make([]float32, rows)
 	for r := 0; r < rows; r++ {
@@ -17,150 +19,6 @@ func naiveMatVec(a []float32, rows, cols int, x []float32) []float32 {
 		y[r] = s
 	}
 	return y
-}
-
-// TestMatVecF32Parity checks the blocked, unrolled kernel against a naive
-// scalar loop across shapes that exercise every row/column tail path
-// (rows%4 and cols%4 in all combinations).
-func TestMatVecF32Parity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 13, 48} {
-		for _, cols := range []int{1, 2, 3, 4, 6, 9, 16, 33} {
-			a := make([]float32, rows*cols)
-			x := make([]float32, cols)
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
-			}
-			for i := range x {
-				x[i] = float32(rng.NormFloat64())
-			}
-			y := make([]float32, rows)
-			MatVecF32(a, rows, cols, x, y)
-			want := naiveMatVec(a, rows, cols, x)
-			for r := range y {
-				diff := math.Abs(float64(y[r] - want[r]))
-				tol := 1e-5 * (1 + math.Abs(float64(want[r])))
-				if diff > tol {
-					t.Fatalf("%dx%d row %d: blocked %v vs naive %v", rows, cols, r, y[r], want[r])
-				}
-			}
-		}
-	}
-}
-
-func TestMatVecF32PanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MatVecF32 must panic on mismatched dimensions")
-		}
-	}()
-	MatVecF32(make([]float32, 5), 2, 3, make([]float32, 3), make([]float32, 2))
-}
-
-// TestQuantizeRoundTrip bounds the per-element dequantization error:
-// |x - q*scale| <= scale/2 (half a quantization step) for finite inputs.
-func TestQuantizeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(64)
-		x := make([]float32, n)
-		for i := range x {
-			x[i] = float32(rng.NormFloat64()) * float32(math.Pow(10, float64(rng.Intn(5)-2)))
-		}
-		q := make([]int8, n)
-		scale := QuantizeVecInt8(x, q)
-		if scale < 0 || math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) {
-			t.Fatalf("bad scale %v", scale)
-		}
-		for i := range x {
-			back := float32(q[i]) * scale
-			if diff := math.Abs(float64(x[i] - back)); diff > float64(scale)/2+1e-12 {
-				t.Fatalf("x[%d]=%v round-trips to %v (scale %v, err %v)", i, x[i], back, scale, diff)
-			}
-		}
-	}
-}
-
-// TestMatVecInt8Parity: the int8 path with per-row weight scales and a
-// shared activation scale must approximate the f32 product within the
-// combined quantization budget.
-func TestMatVecInt8Parity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, rows := range []int{1, 3, 4, 9, 32} {
-		for _, cols := range []int{1, 5, 16, 40} {
-			w := make([]float32, rows*cols)
-			x := make([]float32, cols)
-			for i := range w {
-				w[i] = float32(rng.NormFloat64())
-			}
-			for i := range x {
-				x[i] = float32(rng.NormFloat64())
-			}
-			q, rowScale := QuantizeRowsInt8(w, rows, cols)
-			xq := make([]int8, cols)
-			xScale := QuantizeVecInt8(x, xq)
-			y := make([]float32, rows)
-			MatVecInt8(q, rows, cols, xq, rowScale, xScale, y)
-			want := naiveMatVec(w, rows, cols, x)
-			for r := range y {
-				// Error budget: each product has relative error ~1/127 per
-				// operand; accumulate over cols with slack.
-				tol := 0.05 * (1 + math.Sqrt(float64(cols)))
-				if diff := math.Abs(float64(y[r] - want[r])); diff > tol {
-					t.Fatalf("%dx%d row %d: int8 %v vs f32 %v (tol %v)", rows, cols, r, y[r], want[r], tol)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantizeDegenerate: zero, NaN, and infinite inputs must not produce
-// NaN scales or out-of-range codes.
-func TestQuantizeDegenerate(t *testing.T) {
-	nan := float32(math.NaN())
-	inf := float32(math.Inf(1))
-	for _, x := range [][]float32{
-		{},
-		{0, 0, 0},
-		{nan, nan},
-		{inf, -inf, 1},
-		{nan, 0.5, -inf},
-	} {
-		q := make([]int8, len(x))
-		scale := QuantizeVecInt8(x, q)
-		if math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) || scale < 0 {
-			t.Fatalf("QuantizeVecInt8(%v) scale = %v", x, scale)
-		}
-		for i, v := range q {
-			if v < -127 || v > 127 {
-				t.Fatalf("QuantizeVecInt8(%v) q[%d] = %d", x, i, v)
-			}
-		}
-	}
-}
-
-// FuzzQuantize: quantization must never panic and always yield a finite,
-// non-negative scale with codes in [-127, 127], whatever bit patterns the
-// input holds.
-func FuzzQuantize(f *testing.F) {
-	f.Add(uint32(0), uint32(0x3f800000), uint32(0x7f800000), uint32(0x7fc00000))
-	f.Add(uint32(0xff7fffff), uint32(0x00000001), uint32(0x80000000), uint32(0x42f70000))
-	f.Fuzz(func(t *testing.T, a, b, c, d uint32) {
-		x := []float32{
-			math.Float32frombits(a), math.Float32frombits(b),
-			math.Float32frombits(c), math.Float32frombits(d),
-		}
-		q := make([]int8, len(x))
-		scale := QuantizeVecInt8(x, q)
-		if math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) || scale < 0 {
-			t.Fatalf("scale = %v for %v", scale, x)
-		}
-		for i, v := range q {
-			if v < -127 || v > 127 {
-				t.Fatalf("q[%d] = %d for %v", i, v, x)
-			}
-		}
-	})
 }
 
 // TestExpF32Accuracy compares the polynomial exp against math.Exp over the
@@ -248,8 +106,7 @@ func TestModulateF32MatchesF64(t *testing.T) {
 }
 
 // TestFrozenDenseMatchesLinear: freezing a Linear and applying it must
-// reproduce Forward within f32 tolerance (f32) and quantization budget
-// (int8), biases exact in both.
+// reproduce Forward within f32 tolerance, biases included.
 func TestFrozenDenseMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewLinear(13, 7, rng)
@@ -261,22 +118,39 @@ func TestFrozenDenseMatchesLinear(t *testing.T) {
 	}
 	want := l.Forward(x64)
 
-	for _, quant := range []bool{false, true} {
-		d := FreezeLinear(l, quant)
-		y := make([]float32, 7)
-		xq := make([]int8, 13)
-		d.Apply(x32, y, xq)
-		tol := 1e-5
-		if quant {
-			tol = 0.2
-		}
-		for i := range want {
-			if diff := math.Abs(want[i] - float64(y[i])); diff > tol {
-				t.Fatalf("quant=%v out[%d]: frozen %v vs linear %v", quant, i, y[i], want[i])
-			}
+	d := FreezeLinear(l)
+	y := make([]float32, d.PadRows)
+	d.Apply(x32, y)
+	for i := range want {
+		if diff := math.Abs(want[i] - float64(y[i])); diff > 1e-5 {
+			t.Fatalf("out[%d]: frozen %v vs linear %v", i, y[i], want[i])
 		}
 	}
 	l.ClearCache()
+}
+
+// TestFrozenDenseApplyPanicsOnShortOutput: Apply writes full padded
+// register tiles, so a y shorter than PadRows must be refused.
+func TestFrozenDenseApplyPanicsOnShortOutput(t *testing.T) {
+	d := FreezeLinear(NewLinear(4, 3, rand.New(rand.NewSource(9))))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Apply must panic when len(y) < PadRows")
+		}
+	}()
+	d.Apply(make([]float32, 4), make([]float32, 3))
+}
+
+// TestFreezeLSTMRejectsQuant: the int8 backend is gone, so asking for it
+// must panic rather than silently freeze to f32.
+func TestFreezeLSTMRejectsQuant(t *testing.T) {
+	l := NewLSTM(3, 4, rand.New(rand.NewSource(10)))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "int8 backend was removed") {
+			t.Fatalf("FreezeLSTM(l, true) recovered %v, want the int8-removed panic", r)
+		}
+	}()
+	FreezeLSTM(l, true)
 }
 
 // TestFreezeLSTMStepMatchesF64: one frozen step must track the float64

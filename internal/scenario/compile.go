@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"gendt/internal/cells"
@@ -29,16 +30,21 @@ type BuiltRun struct {
 // seed+SeedOffset consumed by the layouts in declaration order, one route
 // rng per run at seed+RouteSeedBase+runIndex, and one measurement rng per
 // run at seed+DriveSeedBase+runIndex — so runs are independent of each
-// other and of layout count. The arithmetic below deliberately mirrors
-// the historical NewDatasetA/NewDatasetB constructors operation for
-// operation (same geo.Offset call sites, same multiply-then-add order) so
-// that scenarios/dataset-a.toml and dataset-b.toml compile bit-identically
-// to them; see TestScenarioGoldenBitIdentity.
+// other and of layout count. The order of the arithmetic below (the
+// geo.Offset call sites, multiply-then-add) is part of that contract:
+// scenarios/dataset-a.toml and dataset-b.toml must keep compiling to the
+// bytes pinned by TestScenarioGoldenBitIdentity.
+//
+// A non-positive scale means 1; a NaN or infinite scale fails with an
+// error wrapping ErrNonFinite.
 func Build(sc *Scenario, seed int64, scale float64) (*sim.World, []BuiltRun, error) {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, nil, fmt.Errorf("%w: scale %v", ErrNonFinite, scale)
+	}
 	if scale <= 0 {
 		scale = 1
 	}
-	centers := resolveCenters(sc)
+	centers := sc.ResolveCenters()
 	anchorOf := func(idx int) geo.Point {
 		if idx < 0 {
 			return sc.Origin
@@ -153,11 +159,11 @@ func Build(sc *Scenario, seed int64, scale float64) (*sim.World, []BuiltRun, err
 	return w, runs, nil
 }
 
-// resolveCenters turns [[center]] offsets into points. A zero distance
-// yields the origin verbatim (geo.Offset(p, b, 0) is not a bit-exact
-// identity, and the historical constructors anchor their first city at the
-// origin itself).
-func resolveCenters(sc *Scenario) []geo.Point {
+// ResolveCenters turns the [[center]] offsets into points, in declaration
+// order. A zero distance yields the origin verbatim (geo.Offset(p, b, 0)
+// is not a bit-exact identity, and Dataset B anchors its first city at
+// the origin itself).
+func (sc *Scenario) ResolveCenters() []geo.Point {
 	out := make([]geo.Point, len(sc.Centers))
 	for i, c := range sc.Centers {
 		if c.DistanceM == 0 {

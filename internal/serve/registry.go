@@ -11,8 +11,8 @@ import (
 
 // ModelSource names one model file the registry serves. Precision, when
 // non-empty, overrides the model file's own preferred serving precision
-// (Config.Precision): "f64" serves the live float64 model, "f32"/"int8"
-// freeze it into the corresponding inference backend at load time.
+// (Config.Precision): "f64" serves the live float64 model, "f32" freezes
+// it into the float32 inference backend at load time.
 type ModelSource struct {
 	Name      string
 	Path      string
@@ -43,7 +43,7 @@ type modelEntry struct {
 }
 
 // Registry maps model names to loaded GenDT generators — live float64
-// models or frozen f32/int8 inference snapshots, per the resolved
+// models or frozen f32 inference snapshots, per the resolved
 // precision. Loaded generators are treated as immutable (the serving path
 // never mutates them), so lookups hand out the shared value under a read
 // lock and Reload swaps entries atomically without quiescing in-flight

@@ -55,9 +55,9 @@ type Options struct {
 	SkipHTTP bool
 
 	// Precision selects the backend under validation: f64 (default) runs
-	// the live model, f32/int8 freeze it into the corresponding inference
-	// backend first, so the statistical gate certifies exactly what the
-	// serving layer would run. Determinism checks are per-precision — a
+	// the live model, f32 freezes it into the float32 inference backend
+	// first, so the statistical gate certifies exactly what the serving
+	// layer would run. Determinism checks are per-precision — a
 	// frozen backend must be bit-exact against itself across execution
 	// paths, not against the float64 model.
 	Precision core.Precision
