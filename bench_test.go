@@ -20,6 +20,7 @@ import (
 	"gendt/internal/core"
 	"gendt/internal/dataset"
 	"gendt/internal/experiments"
+	"gendt/internal/geo"
 )
 
 // benchOpt returns the benchmark experiment scale with a fixed seed.
@@ -403,6 +404,38 @@ func BenchmarkModelUncertainty(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkAnnotate measures what serving pays for a route it has not seen:
+// annotating a 120-step walk route on dataset A at scale 0.05 with visible
+// cells and environment context, then preparing the model-ready sequence
+// (the serving model's channels and cell cap). The route is shifted 173 m
+// east and 121 m north of a recorded walk, as new-route requests are.
+func BenchmarkAnnotate(b *testing.B) {
+	d := dataset.NewDatasetA(dataset.Spec{Seed: 1, Scale: 0.05})
+	var src geo.Trajectory
+	for _, r := range d.Runs {
+		if len(r.Traj) >= 120 {
+			src = r.Traj[:120]
+			break
+		}
+	}
+	if src == nil {
+		b.Fatal("dataset A has no 120-sample run")
+	}
+	tr := make(geo.Trajectory, len(src))
+	for i, s := range src {
+		tr[i] = geo.Sample{Point: geo.Offset(geo.Offset(s.Point, 90, 173), 0, 121), T: s.T - src[0].T}
+	}
+	chans := core.StandardChannels()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := dataset.Run{Scenario: "serve", Traj: tr, Meas: d.World.Annotate(tr)}
+		if seq := core.PrepareSequenceWith(run, chans, core.PrepareOptions{MaxCells: 10}); seq.Len() != len(tr) {
+			b.Fatal("bad preparation")
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gendt/internal/geo"
 )
@@ -69,8 +69,11 @@ type Deployment struct {
 	Cells []Cell
 
 	proj     *geo.Projection
-	cellSize float64          // grid cell edge, metres
-	grid     map[[2]int][]int // grid coords -> indices into Cells
+	cellSize float64            // grid cell edge, metres
+	grid     map[[2]int][]int32 // grid coords -> indices into Cells
+	kmin     [2]int             // occupied grid coords: grid keys lie in [kmin, kmax]
+	kmax     [2]int
+	xy       [][2]float64 // planar site coordinates, parallel to Cells
 }
 
 // NewDeployment indexes the given cells. indexCellSize is the spatial-hash
@@ -83,18 +86,22 @@ func NewDeployment(cells []Cell, origin geo.Point, indexCellSize float64) *Deplo
 		Cells:    cells,
 		proj:     geo.NewProjection(origin),
 		cellSize: indexCellSize,
-		grid:     make(map[[2]int][]int),
+		grid:     make(map[[2]int][]int32),
+		kmin:     [2]int{math.MaxInt, math.MaxInt},
+		kmax:     [2]int{math.MinInt, math.MinInt},
+		xy:       make([][2]float64, len(cells)),
 	}
 	for i, c := range cells {
-		k := d.key(c.Site)
-		d.grid[k] = append(d.grid[k], i)
+		x, y := d.proj.ToXY(c.Site)
+		d.xy[i] = [2]float64{x, y}
+		k := [2]int{int(math.Floor(x / d.cellSize)), int(math.Floor(y / d.cellSize))}
+		d.grid[k] = append(d.grid[k], int32(i))
+		for a := range k {
+			d.kmin[a] = min(d.kmin[a], k[a])
+			d.kmax[a] = max(d.kmax[a], k[a])
+		}
 	}
 	return d
-}
-
-func (d *Deployment) key(p geo.Point) [2]int {
-	x, y := d.proj.ToXY(p)
-	return [2]int{int(math.Floor(x / d.cellSize)), int(math.Floor(y / d.cellSize))}
 }
 
 // VisibleCell pairs a cell with its current distance from the device.
@@ -105,31 +112,173 @@ type VisibleCell struct {
 
 // Visible returns all cells within radius ds metres of loc, sorted by
 // ascending distance. This is the paper's set C_cell of potential serving
-// cells around a device location.
+// cells around a device location. It is the one-point case of VisibleAlong.
 func (d *Deployment) Visible(loc geo.Point, ds float64) []VisibleCell {
-	x, y := d.proj.ToXY(loc)
-	r := int(math.Ceil(ds/d.cellSize)) + 1
-	k0 := d.key(loc)
-	var out []VisibleCell
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for _, idx := range d.grid[[2]int{k0[0] + dx, k0[1] + dy}] {
-				c := &d.Cells[idx]
-				cx, cy := d.proj.ToXY(c.Site)
-				dist := math.Hypot(cx-x, cy-y)
-				if dist <= ds {
-					out = append(out, VisibleCell{Cell: c, Distance: dist})
-				}
+	return d.VisibleAlong([]geo.Point{loc}, ds)[0]
+}
+
+// segRadius is how far, in metres, a path may stray from a segment's anchor
+// before VisibleAlong gathers a fresh candidate set.
+const segRadius = 250.0
+
+// candidate is a cell gathered for a path segment, with its distance from
+// the current point.
+type candidate struct {
+	dist float64
+	id   int
+	idx  int32 // index into Deployment.Cells
+}
+
+// compareCandidates orders by (distance, cell ID, index): a total order,
+// so any correct sort yields the same sequence.
+func compareCandidates(a, b candidate) int {
+	switch {
+	case a.dist < b.dist:
+		return -1
+	case a.dist > b.dist:
+		return 1
+	case a.id != b.id:
+		if a.id < b.id {
+			return -1
+		}
+		return 1
+	}
+	return int(a.idx - b.idx)
+}
+
+// VisibleAlong returns, for each point of a path, the cells within ds
+// metres sorted by ascending distance then cell ID: element i equals
+// Visible(pts[i], ds). A point with a non-finite planar coordinate sees no
+// cells.
+//
+// Consecutive drive-test samples are metres apart, so the query is
+// route-coherent. The path is split into segments: a segment starts at an
+// anchor point and runs while points stay within segRadius of it. Once per
+// segment, the cells within ds + reach of the anchor are gathered, where
+// reach is the segment's farthest point from the anchor, plus a rounding
+// margin; by the triangle inequality they include every cell within ds of
+// any point of the segment. Each later point recomputes the exact distances
+// of those candidates, re-sorts them starting from the previous point's
+// order, which is nearly sorted, and keeps the prefix within ds. Every
+// distance is the same math.Hypot of the same planar coordinates as a scan
+// over all cells computes, and the sort key is a total order, so the result
+// is exactly that scan's.
+//
+// All returned slices share one backing array; each is capped at its own
+// length, so appending to one cannot overwrite another.
+func (d *Deployment) VisibleAlong(pts []geo.Point, ds float64) [][]VisibleCell {
+	out := make([][]VisibleCell, len(pts))
+	if !(ds >= 0) {
+		return out
+	}
+	xy := make([][2]float64, len(pts))
+	for i, p := range pts {
+		xy[i][0], xy[i][1] = d.proj.ToXY(p)
+	}
+	ends := make([]int, len(pts))
+	var (
+		all  []VisibleCell
+		cand []candidate
+	)
+	emit := func(i int) {
+		n := 0
+		for n < len(cand) && cand[n].dist <= ds {
+			n++
+		}
+		if all == nil {
+			// Size the shared array from the first point's count.
+			all = make([]VisibleCell, 0, n*(len(pts)-i))
+		}
+		for _, c := range cand[:n] {
+			all = append(all, VisibleCell{Cell: &d.Cells[c.idx], Distance: c.dist})
+		}
+		ends[i] = len(all)
+	}
+	for i := 0; i < len(pts); {
+		x, y := xy[i][0], xy[i][1]
+		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+			ends[i] = len(all)
+			i++
+			continue
+		}
+		// The segment anchored at point i; a NaN distance ends it too.
+		end, reach := i+1, 0.0
+		for ; end < len(pts); end++ {
+			h := math.Hypot(xy[end][0]-x, xy[end][1]-y)
+			if !(h <= segRadius) {
+				break
+			}
+			reach = max(reach, h)
+		}
+		// The margin absorbs the rounding of the three distances the
+		// triangle inequality relates: relative for large radii, absolute
+		// for large coordinates.
+		cand = d.gather(cand[:0], x, y, (ds+reach)*(1+1e-9)+1)
+		slices.SortFunc(cand, compareCandidates)
+		emit(i)
+		for k := i + 1; k < end; k++ {
+			px, py := xy[k][0], xy[k][1]
+			for j := range cand {
+				c := &d.xy[cand[j].idx]
+				cand[j].dist = math.Hypot(c[0]-px, c[1]-py)
+			}
+			insertionSort(cand)
+			emit(k)
+		}
+		i = end
+	}
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			out[i] = all[start:end:end]
+		}
+		start = end
+	}
+	return out
+}
+
+// gather appends to dst every cell within r metres of (x, y), with its
+// distance from (x, y).
+func (d *Deployment) gather(dst []candidate, x, y, r float64) []candidate {
+	x0, x1 := geo.GridSpan(x, r, d.cellSize, d.kmin[0], d.kmax[0])
+	y0, y1 := geo.GridSpan(y, r, d.cellSize, d.kmin[1], d.kmax[1])
+	var buf [64][]int32
+	buckets, n := buf[:0], 0
+	for kx := x0; kx <= x1; kx++ {
+		for ky := y0; ky <= y1; ky++ {
+			if b := d.grid[[2]int{kx, ky}]; len(b) > 0 {
+				buckets = append(buckets, b)
+				n += len(b)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
+	dst = slices.Grow(dst, n)
+	for _, b := range buckets {
+		for _, idx := range b {
+			c := &d.xy[idx]
+			if dist := math.Hypot(c[0]-x, c[1]-y); dist <= r {
+				dst = append(dst, candidate{dist: dist, id: d.Cells[idx].ID, idx: idx})
+			}
 		}
-		return out[i].Cell.ID < out[j].Cell.ID
-	})
-	return out
+	}
+	return dst
+}
+
+// insertionSort sorts candidates that are already nearly in order, as
+// they are from one path point to the next, in close to linear time.
+func insertionSort(c []candidate) {
+	for i := 1; i < len(c); i++ {
+		if compareCandidates(c[i], c[i-1]) >= 0 {
+			continue
+		}
+		v := c[i]
+		j := i - 1
+		for j >= 0 && compareCandidates(v, c[j]) < 0 {
+			c[j+1] = c[j]
+			j--
+		}
+		c[j+1] = v
+	}
 }
 
 // ByID returns the cell with the given id, or nil.
@@ -151,8 +300,8 @@ func (d *Deployment) DensityPerKm2(tr geo.Trajectory, radius float64) float64 {
 	}
 	area := math.Pi * radius * radius / 1e6 // km^2
 	total := 0.0
-	for _, s := range tr {
-		total += float64(len(d.Visible(s.Point, radius)))
+	for _, vis := range d.VisibleAlong(tr.Points(), radius) {
+		total += float64(len(vis))
 	}
 	return total / float64(len(tr)) / area
 }

@@ -11,7 +11,7 @@ import (
 
 var origin = geo.Point{Lat: 51.5, Lon: 7.46} // Dortmund-ish, matching Dataset B
 
-func testDeployment(t *testing.T, sitesPerKm2 float64) *Deployment {
+func testDeployment(t testing.TB, sitesPerKm2 float64) *Deployment {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	cs := Generate(DeploymentSpec{

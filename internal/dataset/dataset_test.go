@@ -3,7 +3,9 @@ package dataset
 import (
 	"math"
 	"testing"
+	"time"
 
+	"gendt/internal/env"
 	"gendt/internal/radio"
 	"gendt/internal/sim"
 )
@@ -243,5 +245,40 @@ func TestWithExtraCellsAndNewSiteAt(t *testing.T) {
 	}
 	if !found {
 		t.Error("new site not visible at its own location")
+	}
+}
+
+// TestHugeRadiusQueriesBounded: a huge visibility or environment radius
+// costs no more than a scan of the occupied index, not one proportional
+// to r², and the visible set is then every cell, in distance order.
+func TestHugeRadiusQueriesBounded(t *testing.T) {
+	d := NewDatasetA(Spec{Seed: 1, Scale: 0.05})
+	w := d.World
+	loc := d.Runs[0].Traj[0].Point
+	start := time.Now()
+	vis := w.Deployment.Visible(loc, 1e12)
+	ctx := w.Env.ContextAt(loc, 1e7)
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("huge-radius queries took %v", el)
+	}
+	if len(vis) != len(w.Deployment.Cells) || len(vis) != 855 {
+		t.Fatalf("Visible(ds=1e12) returned %d of %d cells, want all 855", len(vis), len(w.Deployment.Cells))
+	}
+	for i := 1; i < len(vis); i++ {
+		a, b := vis[i-1], vis[i]
+		if a.Distance > b.Distance || (a.Distance == b.Distance && a.Cell.ID >= b.Cell.ID) {
+			t.Fatalf("entries %d and %d out of order: %v/%d then %v/%d", i-1, i, a.Distance, a.Cell.ID, b.Distance, b.Cell.ID)
+		}
+	}
+	share, pois := 0.0, 0.0
+	for i, v := range ctx {
+		if i < env.NumLandUse {
+			share += v
+		} else {
+			pois += v
+		}
+	}
+	if math.Abs(share-1) > 1e-9 || pois == 0 {
+		t.Errorf("ContextAt(r=1e7): land-use shares sum to %v, %v PoIs", share, pois)
 	}
 }

@@ -71,20 +71,20 @@ var AttributeNames = []string{
 type Map struct {
 	origin   geo.Point
 	proj     *geo.Projection
-	extentM  float64 // half-edge of the covered square, metres
-	cellM    float64 // raster cell edge, metres
-	n        int     // raster is n x n
-	landUse  []uint8 // class per raster cell
-	pois     [NumPoI][]pointXY
-	poiGrid  map[[2]int][]poiRef // spatial hash over all PoIs
+	extentM  float64          // half-edge of the covered square, metres
+	cellM    float64          // raster cell edge, metres
+	n        int              // raster is n x n
+	landUse  []uint8          // class per raster cell
+	poiGrid  map[[2]int][]poi // spatial hash over all PoIs
+	poiKMin  [2]int           // occupied poiGrid keys lie in [poiKMin, poiKMax]
+	poiKMax  [2]int
 	poiCellM float64
 }
 
-type pointXY struct{ x, y float64 }
-
-type poiRef struct {
-	kind int
-	idx  int
+// poi is one point of interest, held inline in its spatial-hash bucket.
+type poi struct {
+	x, y float64
+	kind uint8
 }
 
 // Core is one dense urban centre within a map. Maps may have several —
@@ -129,7 +129,9 @@ func NewMap(spec MapSpec) *Map {
 		cellM:    spec.CellM,
 		n:        n,
 		landUse:  make([]uint8, n*n),
-		poiGrid:  make(map[[2]int][]poiRef),
+		poiGrid:  make(map[[2]int][]poi),
+		poiKMin:  [2]int{math.MaxInt, math.MaxInt},
+		poiKMax:  [2]int{math.MinInt, math.MinInt},
 		poiCellM: 500,
 	}
 	coreM := spec.CoreKm * 1000
@@ -255,12 +257,19 @@ func NewMap(spec MapSpec) *Map {
 				break
 			}
 		}
-		idx := len(m.pois[kind])
-		m.pois[kind] = append(m.pois[kind], pointXY{x, y})
-		k := [2]int{int(math.Floor(x / m.poiCellM)), int(math.Floor(y / m.poiCellM))}
-		m.poiGrid[k] = append(m.poiGrid[k], poiRef{kind, idx})
+		m.addPoI(poi{x, y, uint8(kind)})
 	}
 	return m
+}
+
+// addPoI files a PoI under its spatial-hash bucket.
+func (m *Map) addPoI(q poi) {
+	k := [2]int{int(math.Floor(q.x / m.poiCellM)), int(math.Floor(q.y / m.poiCellM))}
+	m.poiGrid[k] = append(m.poiGrid[k], q)
+	for a := range k {
+		m.poiKMin[a] = min(m.poiKMin[a], k[a])
+		m.poiKMax[a] = max(m.poiKMax[a], k[a])
+	}
 }
 
 // wobble is a cheap deterministic pseudo-noise in [-1, 1] based on position.
@@ -301,6 +310,7 @@ func (m *Map) LandUseAt(p geo.Point) uint8 {
 func (m *Map) ContextAt(p geo.Point, radius float64) []float64 {
 	out := make([]float64, NumAttributes)
 	x0, y0 := m.proj.ToXY(p)
+	in := newDisc(radius)
 
 	// Land-use shares: sample raster cells within the radius.
 	g0x := int((x0 - radius + m.extentM) / m.cellM)
@@ -312,7 +322,7 @@ func (m *Map) ContextAt(p geo.Point, radius float64) []float64 {
 		for gx := max(0, g0x); gx <= min(m.n-1, g1x); gx++ {
 			cx := -m.extentM + (float64(gx)+0.5)*m.cellM
 			cy := -m.extentM + (float64(gy)+0.5)*m.cellM
-			if math.Hypot(cx-x0, cy-y0) <= radius {
+			if in.contains(cx-x0, cy-y0) {
 				out[m.landUse[gy*m.n+gx]]++
 				count++
 			}
@@ -325,19 +335,46 @@ func (m *Map) ContextAt(p geo.Point, radius float64) []float64 {
 	}
 
 	// PoI counts via the spatial hash.
-	r := int(math.Ceil(radius/m.poiCellM)) + 1
-	k0 := [2]int{int(math.Floor(x0 / m.poiCellM)), int(math.Floor(y0 / m.poiCellM))}
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for _, ref := range m.poiGrid[[2]int{k0[0] + dx, k0[1] + dy}] {
-				pt := m.pois[ref.kind][ref.idx]
-				if math.Hypot(pt.x-x0, pt.y-y0) <= radius {
-					out[NumLandUse+ref.kind]++
+	kx0, kx1 := geo.GridSpan(x0, radius, m.poiCellM, m.poiKMin[0], m.poiKMax[0])
+	ky0, ky1 := geo.GridSpan(y0, radius, m.poiCellM, m.poiKMin[1], m.poiKMax[1])
+	for kx := kx0; kx <= kx1; kx++ {
+		for ky := ky0; ky <= ky1; ky++ {
+			for _, q := range m.poiGrid[[2]int{kx, ky}] {
+				if in.contains(q.x-x0, q.y-y0) {
+					out[NumLandUse+int(q.kind)]++
 				}
 			}
 		}
 	}
 	return out
+}
+
+// disc answers math.Hypot(dx, dy) <= r exactly, more cheaply: it compares
+// the squared length against r² shrunk and grown by a relative 1e-9, far
+// wider than the few ulps of rounding in either computation, and takes the
+// Hypot only for offsets inside that band, where rounding could decide.
+type disc struct{ r, in2, out2 float64 }
+
+func newDisc(r float64) disc {
+	d := disc{r: r, in2: -1, out2: math.Inf(1)}
+	// Beyond these radii the squares could underflow or overflow; every
+	// test then takes the Hypot.
+	if r >= 1e-100 && r <= 1e100 {
+		lo, hi := r*(1-1e-9), r*(1+1e-9)
+		d.in2, d.out2 = lo*lo, hi*hi
+	}
+	return d
+}
+
+func (d disc) contains(dx, dy float64) bool {
+	q := dx*dx + dy*dy
+	if q <= d.in2 {
+		return true
+	}
+	if q > d.out2 {
+		return false
+	}
+	return math.Hypot(dx, dy) <= d.r
 }
 
 // Origin returns the map's anchor point.

@@ -105,3 +105,25 @@ func (pr *Projection) PlanarDistance(a, b Point) float64 {
 	bx, by := pr.ToXY(b)
 	return math.Hypot(ax-bx, ay-by)
 }
+
+// GridSpan returns the inclusive range [first, last] of bucket indices,
+// along one axis of a grid of the given bucket size, that can hold a point
+// within r of coordinate c. The range is padded by one bucket on each side
+// so rounding in the division cannot drop a boundary bucket, and clamped to
+// the occupied indices [lo, hi], so its length never exceeds the grid's
+// however large r is. first > last means no bucket; a NaN c or r gives that.
+func GridSpan(c, r, size float64, lo, hi int) (first, last int) {
+	f0 := math.Floor((c-r)/size) - 1
+	f1 := math.Floor((c+r)/size) + 1
+	if !(f0 <= f1) {
+		return 1, 0
+	}
+	first, last = lo, hi
+	if f0 > float64(lo) {
+		first = int(min(f0, float64(hi)+1))
+	}
+	if f1 < float64(hi) {
+		last = int(max(f1, float64(lo)-1))
+	}
+	return first, last
+}

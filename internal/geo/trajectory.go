@@ -82,6 +82,15 @@ func (tr Trajectory) At(t float64) Point {
 	}
 }
 
+// Points returns the trajectory's locations in order.
+func (tr Trajectory) Points() []Point {
+	out := make([]Point, len(tr))
+	for i, s := range tr {
+		out[i] = s.Point
+	}
+	return out
+}
+
 // Resample returns a new trajectory sampled at a fixed interval (seconds)
 // over the original time span, interpolating positions linearly.
 func (tr Trajectory) Resample(interval float64) (Trajectory, error) {

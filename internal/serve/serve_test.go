@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -474,6 +475,53 @@ func TestGenerateValidation(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: %d", resp2.StatusCode)
+	}
+}
+
+// TestGenerateRejectsBadRoutePoints: a non-finite or out-of-range route
+// point is a 400 with a JSON error body, whether it arrives as JSON points
+// or CSV. JSON has no NaN or Inf literal, so those reach only route_csv.
+func TestGenerateRejectsBadRoutePoints(t *testing.T) {
+	_, ts := newServer(t, Options{})
+	cases := []struct {
+		name    string
+		mut     func(p []RoutePoint)
+		jsonToo bool
+	}{
+		{"NaN t", func(p []RoutePoint) { p[1].T = math.NaN() }, false},
+		{"+Inf t", func(p []RoutePoint) { p[1].T = math.Inf(1) }, false},
+		{"NaN lat", func(p []RoutePoint) { p[1].Lat = math.NaN() }, false},
+		{"-Inf lon", func(p []RoutePoint) { p[1].Lon = math.Inf(-1) }, false},
+		{"lat above 90", func(p []RoutePoint) { p[1].Lat = 90.5 }, true},
+		{"lat below -90", func(p []RoutePoint) { p[1].Lat = -91 }, true},
+		{"lon above 180", func(p []RoutePoint) { p[1].Lon = 180.25 }, true},
+		{"lon below -180", func(p []RoutePoint) { p[1].Lon = -200 }, true},
+		{"time step overflows", func(p []RoutePoint) { p[0].T, p[1].T = -1.7e308, 1.7e308 }, true},
+	}
+	for _, tc := range cases {
+		pts := routePoints()
+		tc.mut(pts)
+		var sb strings.Builder
+		sb.WriteString("t,lat,lon\n")
+		for _, p := range pts {
+			fmt.Fprintf(&sb, "%s,%s,%s\n",
+				strconv.FormatFloat(p.T, 'g', -1, 64),
+				strconv.FormatFloat(p.Lat, 'g', -1, 64),
+				strconv.FormatFloat(p.Lon, 'g', -1, 64))
+		}
+		reqs := map[string]GenerateRequest{"route_csv": {Seed: 1, RouteCSV: sb.String()}}
+		if tc.jsonToo {
+			reqs["route"] = GenerateRequest{Seed: 1, Route: pts}
+		}
+		for form, req := range reqs {
+			code, _, raw := postGenerate(t, ts.URL, req)
+			var body struct {
+				Error string `json:"error"`
+			}
+			if code != http.StatusBadRequest || json.Unmarshal([]byte(raw), &body) != nil || body.Error == "" {
+				t.Errorf("%s via %s: status %d, body %q; want 400 with a JSON error", tc.name, form, code, raw)
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -388,8 +389,20 @@ func (req *GenerateRequest) trajectory(maxSteps int) (geo.Trajectory, error) {
 	if len(tr) > maxSteps {
 		return nil, fmt.Errorf("route has %d samples, limit %d", len(tr), maxSteps)
 	}
+	for i, p := range tr {
+		switch {
+		case !finite(p.T) || !finite(p.Lat) || !finite(p.Lon):
+			return nil, fmt.Errorf("route point %d: t, lat and lon must be finite", i)
+		case math.Abs(p.Lat) > 90 || math.Abs(p.Lon) > 180:
+			return nil, fmt.Errorf("route point %d: lat %v or lon %v out of range", i, p.Lat, p.Lon)
+		case i > 0 && !finite(p.T-tr[i-1].T):
+			return nil, fmt.Errorf("route point %d: time step is not finite", i)
+		}
+	}
 	return tr, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // ModelsResponse is the /v1/models response body.
 type ModelsResponse struct {

@@ -150,10 +150,11 @@ func (w *World) DriveTest(tr geo.Trajectory, rng *rand.Rand) []Measurement {
 	}
 	l3 := make(map[int]float64) // per-cell L3-filtered power
 
+	visible := w.Deployment.VisibleAlong(tr.Points(), w.VisibleRange)
 	out := make([]Measurement, 0, len(tr))
-	for _, s := range tr {
+	for i, s := range tr {
 		clutter := w.Env.LandUseAt(s.Point)
-		vis := w.Deployment.Visible(s.Point, w.VisibleRange)
+		vis := visible[i]
 		links := make([]radio.Link, 0, len(vis))
 		for _, v := range vis {
 			sh := static.Sample(v.Cell.ID, s.Point) + shadow.Sample(v.Cell.ID, s.Point)
@@ -216,12 +217,13 @@ func (w *World) RepeatedRuns(tr geo.Trajectory, n int, base int64) [][]Measureme
 // trajectory, annotates it with the context they already hold, and feeds
 // it to a trained model — no field measurement involved.
 func (w *World) Annotate(tr geo.Trajectory) []Measurement {
+	visible := w.Deployment.VisibleAlong(tr.Points(), w.VisibleRange)
 	out := make([]Measurement, 0, len(tr))
-	for _, s := range tr {
+	for i, s := range tr {
 		out = append(out, Measurement{
 			T: s.T, Loc: s.Point,
 			ServingCell: -1,
-			Visible:     w.Deployment.Visible(s.Point, w.VisibleRange),
+			Visible:     visible[i],
 			EnvCtx:      w.Env.ContextAt(s.Point, w.EnvRadius),
 		})
 	}
