@@ -59,14 +59,16 @@ for prec in f32; do
 done
 
 echo "=== statistical gate: batched serving is bit-identical under load ==="
-# Two replicas of the same frozen model, one on the lockstep batched-GEMM
-# engine and one with -batch-gemm=false (job-at-a-time), per precision.
-# Open-loop load keeps the batched replica's micro-batcher coalescing
-# multi-request batches while the verify loop asserts per-seed responses
-# are float-exact across the two engines — HTTP-level proof that batching
-# is purely an execution-schedule change.
+# Two replicas of the same frozen model, per precision: one coalescing
+# requests onto the lockstep batched-GEMM engine, and one with -batch-max 1,
+# where each single-sample request is its own singleton GenerateJobs call
+# and so runs job-at-a-time through GenerateSeeded. Open-loop load keeps
+# the batched replica's micro-batcher coalescing multi-request batches
+# while the verify loop asserts per-seed responses are float-exact across
+# the two — HTTP-level proof that batching is purely an execution-schedule
+# change.
 BATCHED=http://127.0.0.1:18073
-UNBATCHED=http://127.0.0.1:18074
+JOBWISE=http://127.0.0.1:18074
 wait_http() {
     for _ in $(seq 1 200); do
         if curl -fsS -o /dev/null "$1" 2>/dev/null; then return 0; fi
@@ -75,7 +77,7 @@ wait_http() {
     echo "FAIL: $1 never became healthy"
     return 1
 }
-for url in "$BATCHED" "$UNBATCHED"; do
+for url in "$BATCHED" "$JOBWISE"; do
     if curl -fsS -o /dev/null "$url/healthz" 2>/dev/null; then
         echo "FAIL: something is already listening at $url — stale server from an earlier run?"
         exit 1
@@ -83,24 +85,24 @@ for url in "$BATCHED" "$UNBATCHED"; do
 done
 BENCH_TRACE=(-dataset A -scale 0.02 -seed 7 -routes 4 -steps 30 -trace-seed 1 -timeout 10s)
 for prec in f32; do
-    echo "--- $prec: batched vs unbatched replicas"
+    echo "--- $prec: batched vs job-at-a-time replicas"
     "$work/gendt-serve" -model "$work/model.json" -dataset A -scale 0.02 -seed 7 \
         -precision "$prec" -addr 127.0.0.1:18073 >"$work/serve-batched-$prec.log" 2>&1 &
     batched_pid=$!
     "$work/gendt-serve" -model "$work/model.json" -dataset A -scale 0.02 -seed 7 \
-        -precision "$prec" -batch-gemm=false -addr 127.0.0.1:18074 >"$work/serve-unbatched-$prec.log" 2>&1 &
-    unbatched_pid=$!
-    trap 'kill "$batched_pid" "$unbatched_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
+        -precision "$prec" -batch-max 1 -addr 127.0.0.1:18074 >"$work/serve-jobwise-$prec.log" 2>&1 &
+    jobwise_pid=$!
+    trap 'kill "$batched_pid" "$jobwise_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
     wait_http "$BATCHED/healthz"
-    wait_http "$UNBATCHED/healthz"
+    wait_http "$JOBWISE/healthz"
     "$work/gendt-bench" -target "$BATCHED" "${BENCH_TRACE[@]}" \
         -rps 30 -duration 3s -warmup 0s -arrival fixed \
         -max-error-rate 0 -out "$work/load-$prec.json" >"$work/load-$prec.log" 2>&1 &
     load_pid=$!
-    if ! "$work/gendt-bench" -target "$BATCHED" -verify-against "$UNBATCHED" \
+    if ! "$work/gendt-bench" -target "$BATCHED" -verify-against "$JOBWISE" \
         -verify-n 4 "${BENCH_TRACE[@]}"; then
-        echo "FAIL: $prec: batched vs unbatched serving outputs differ"
-        cat "$work/serve-batched-$prec.log" "$work/serve-unbatched-$prec.log"
+        echo "FAIL: $prec: batched vs job-at-a-time serving outputs differ"
+        cat "$work/serve-batched-$prec.log" "$work/serve-jobwise-$prec.log"
         exit 1
     fi
     if ! wait "$load_pid"; then
@@ -108,8 +110,8 @@ for prec in f32; do
         cat "$work/load-$prec.log"
         exit 1
     fi
-    kill "$batched_pid" "$unbatched_pid" 2>/dev/null || true
-    wait "$batched_pid" "$unbatched_pid" 2>/dev/null || true
+    kill "$batched_pid" "$jobwise_pid" 2>/dev/null || true
+    wait "$batched_pid" "$jobwise_pid" 2>/dev/null || true
     trap 'rm -rf "$work"' EXIT
 done
 

@@ -37,7 +37,7 @@ import (
 
 func main() {
 	target := flag.String("target", "", "base URL under test (required)")
-	which := flag.String("dataset", "A", "dataset world: A or B (must match the serving fleet)")
+	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...); must match the serving fleet")
 	scale := flag.Float64("scale", 0.05, "dataset scale (must match the serving fleet)")
 	seed := flag.Int64("seed", 1, "dataset seed (must match the serving fleet)")
 	model := flag.String("model", "", "model name in the fleet registry (empty = single-model default)")

@@ -21,14 +21,14 @@ import (
 )
 
 func main() {
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
+	flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
+	flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
 	scale := flag.Float64("scale", 0.1, "scale relative to the paper's sample counts")
 	seed := flag.Int64("seed", 1, "random seed")
 	csvDir := flag.String("csv", "", "directory to export runs as CSV (optional)")
 	flag.Parse()
 
-	name, err := resolveScenario(*which, *scenarioFile)
+	name, err := scenario.ResolveDataset(flag.CommandLine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-dataset:", err)
 		os.Exit(2)
@@ -64,29 +64,6 @@ func main() {
 			fmt.Printf("wrote %s (%d samples)\n", path, len(r.Meas))
 		}
 	}
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }
 
 func sanitize(s string) string {

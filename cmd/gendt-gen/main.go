@@ -24,8 +24,8 @@ import (
 
 func main() {
 	modelPath := flag.String("model", "gendt-model.json", "trained model path")
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
+	flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
+	flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
 	scale := flag.Float64("scale", 0.05, "dataset scale (must match training for the same world)")
 	seed := flag.Int64("seed", 1, "random seed (must match training for the same world)")
 	runIdx := flag.Int("run", 0, "index into the test runs")
@@ -39,7 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	dsName, err := resolveScenario(*which, *scenarioFile)
+	dsName, err := scenario.ResolveDataset(flag.CommandLine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-gen:", err)
 		os.Exit(2)
@@ -133,27 +133,4 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }

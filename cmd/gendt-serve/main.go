@@ -16,8 +16,8 @@
 // Usage:
 //
 //	gendt-serve -model gendt-model.json [-model name=path ...]
-//	            [-addr :8080] [-dataset A|B] [-scale F] [-seed N]
-//	            [-batch-window 2ms] [-batch-max 64] [-batch-gemm=true]
+//	            [-addr :8080] [-dataset NAME] [-scale F] [-seed N]
+//	            [-batch-window 2ms] [-batch-max 64]
 //	            [-max-body 8388608] [-max-samples 64] [-workers N]
 //	            [-timeout 30s] [-precision f64|f32]
 //	            [-pprof-addr 127.0.0.1:6060]
@@ -70,12 +70,11 @@ func main() {
 	var models modelFlags
 	flag.Var(&models, "model", "trained model to serve, as path or name=path (repeatable)")
 	addr := flag.String("addr", ":8080", "listen address")
-	which := flag.String("dataset", "A", "dataset world: A or B (must match training)")
+	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...); must match training")
 	scale := flag.Float64("scale", 0.05, "dataset scale (must match training for the same world)")
 	seed := flag.Int64("seed", 1, "dataset seed (must match training for the same world)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batching window; 0 coalesces only queued requests")
 	batchMax := flag.Int("batch-max", serve.DefaultMaxBatch, "max generation jobs per coalesced batch")
-	batchGemm := flag.Bool("batch-gemm", true, "run frozen f32 batches on the lockstep batched-GEMM engine; false falls back to job-at-a-time execution (bit-identical output)")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request generation timeout")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "max request body bytes")
 	maxSamples := flag.Int("max-samples", serve.DefaultMaxSamples, "max samples per request")
@@ -101,10 +100,6 @@ func main() {
 	reg, err := serve.NewRegistry(models, *workers)
 	if err != nil {
 		logger.Fatal(err)
-	}
-	if !*batchGemm {
-		reg.SetBatchGemm(false)
-		logger.Print("batched-GEMM inference disabled (-batch-gemm=false)")
 	}
 	logger.Printf("loaded %d model(s): %s", len(reg.Names()), strings.Join(reg.Names(), ", "))
 

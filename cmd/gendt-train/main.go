@@ -31,8 +31,8 @@ import (
 
 func main() {
 	out := flag.String("out", "gendt-model.json", "output model path")
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
+	flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
+	flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
 	scale := flag.Float64("scale", 0.05, "dataset scale")
 	seed := flag.Int64("seed", 1, "random seed")
 	channels := flag.String("channels", "rsrp,rsrq,sinr,cqi", "comma-separated channels (rsrp,rsrq,sinr,cqi,servingrank)")
@@ -76,7 +76,7 @@ func main() {
 		chans = append(chans, ch)
 	}
 
-	dsName, err := resolveScenario(*which, *scenarioFile)
+	dsName, err := scenario.ResolveDataset(flag.CommandLine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-train:", err)
 		os.Exit(2)
@@ -196,29 +196,6 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }
 
 func canonical(name string) string {

@@ -42,8 +42,8 @@ import (
 
 func main() {
 	model := flag.String("model", "", "trained model or training checkpoint to validate (required)")
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
+	flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
+	flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
 	scale := flag.Float64("scale", 0.05, "dataset scale (must match training)")
 	seed := flag.Int64("seed", 1, "validation seed (drives every generation in the suite)")
 	routes := flag.Int("routes", 4, "held-out routes for the distributional pass")
@@ -95,7 +95,7 @@ func main() {
 		return
 	}
 
-	dsName, err := resolveScenario(*which, *scenarioFile)
+	dsName, err := scenario.ResolveDataset(flag.CommandLine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-validate:", err)
 		os.Exit(2)
@@ -167,27 +167,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gendt-validate: all %d checks passed\n", len(rep.Checks))
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }

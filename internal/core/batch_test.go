@@ -18,8 +18,7 @@ func truncSeq(seq *Sequence, n int) *Sequence {
 }
 
 // TestBatchedGenerateJobsBitIdentical is the lockstep engine's contract:
-// GenerateJobs with batching on (the default), batching off
-// (WithBatch(false)), and per-job direct GenerateSeeded must all be
+// batched GenerateJobs and per-job direct GenerateSeeded must be
 // byte-equal across mixed sequence lengths (ragged lane retirement),
 // chunk boundaries (more jobs than batchLanes), and worker fan-out widths.
 func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
@@ -50,12 +49,8 @@ func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 			t.Fatalf("job %d (T=%d): batched vs direct GenerateSeeded differ", i, job.Seq.Len())
 		}
 	}
-	unbatched := im.WithBatch(false).WithWorkers(1).GenerateJobs(jobs)
 	parallel := im.WithWorkers(3).GenerateJobs(jobs)
 	for i := range jobs {
-		if !series2Equal(batched[i], unbatched[i]) {
-			t.Fatalf("job %d: batch-on vs batch-off differ", i)
-		}
 		if !series2Equal(batched[i], parallel[i]) {
 			t.Fatalf("job %d: Workers=1 vs Workers=3 differ", i)
 		}

@@ -12,8 +12,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"gendt/internal/dataset"
 	"gendt/internal/env"
@@ -232,32 +230,9 @@ func NormalizeEnv(raw []float64) []float64 {
 // the result order matches the input order.
 func PrepareAll(runs []dataset.Run, chans []ChannelSpec, maxCells int) []*Sequence {
 	out := make([]*Sequence, len(runs))
-	W := runtime.NumCPU()
-	if W > len(runs) {
-		W = len(runs)
-	}
-	if W <= 1 {
-		for i, r := range runs {
-			out[i] = PrepareSequence(r, chans, maxCells)
-		}
-		return out
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				out[i] = PrepareSequence(runs[i], chans, maxCells)
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(runs), runtime.NumCPU(), func(i int) {
+		out[i] = PrepareSequence(runs[i], chans, maxCells)
+	})
 	return out
 }
 

@@ -153,10 +153,6 @@ type InferModel struct {
 	// batches pools the lockstep micro-batch engines (batch.go); shared
 	// across shallow copies for the same reason.
 	batches *sync.Pool
-	// noBatch forces GenerateJobs down the job-at-a-time path (the
-	// -batch-gemm=false escape hatch). Outputs are bit-identical either
-	// way; only the execution schedule differs.
-	noBatch bool
 }
 
 // inferRes is the frozen ResGen: the body denses with their activation
@@ -473,75 +469,23 @@ func clamp01f32(v float32) float32 {
 }
 
 // GenerateJobs implements Generator: no cloning — every job runs straight
-// on the frozen weights, fanned out over Cfg.Workers. By default jobs run
-// on the lockstep micro-batch engine (batch.go) in chunks of up to
-// batchLanes, which amortizes weight bandwidth across the chunk; the
-// noBatch escape hatch (WithBatch(false)) and singleton chunks take the
-// job-at-a-time path. Both schedules produce bit-identical output per
-// (seq, seed).
+// on the frozen weights, fanned out over Cfg.Workers. Jobs run on the
+// lockstep micro-batch engine (batch.go) in chunks of up to batchLanes,
+// which amortizes weight bandwidth across the chunk; a singleton chunk runs
+// job-at-a-time through GenerateSeeded, the reference the engine is
+// bit-identical to per (seq, seed).
 func (im *InferModel) GenerateJobs(jobs []GenJob) [][][]float64 {
 	out := make([][][]float64, len(jobs))
-	runOne := func(i int) {
-		out[i] = im.DenormalizeSeries(im.GenerateSeeded(jobs[i].Seq, jobs[i].Seed))
-	}
-	if im.noBatch {
-		W := im.Cfg.Workers
-		if W > len(jobs) {
-			W = len(jobs)
-		}
-		if W <= 1 {
-			for i := range jobs {
-				runOne(i)
-			}
-			return out
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(jobs); i += W {
-					runOne(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-		return out
-	}
 	nChunks := (len(jobs) + batchLanes - 1) / batchLanes
-	runChunk := func(ci int) {
+	forEach(nChunks, im.Cfg.Workers, func(ci int) {
 		lo := ci * batchLanes
-		hi := lo + batchLanes
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
+		hi := min(lo+batchLanes, len(jobs))
 		if hi-lo == 1 {
-			runOne(lo)
+			out[lo] = im.DenormalizeSeries(im.GenerateSeeded(jobs[lo].Seq, jobs[lo].Seed))
 			return
 		}
 		im.generateBatch(jobs[lo:hi], out[lo:hi])
-	}
-	W := im.Cfg.Workers
-	if W > nChunks {
-		W = nChunks
-	}
-	if W <= 1 {
-		for ci := 0; ci < nChunks; ci++ {
-			runChunk(ci)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ci := w; ci < nChunks; ci += W {
-				runChunk(ci)
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -570,18 +514,5 @@ func (im *InferModel) WithWorkers(n int) Generator {
 	}
 	c := *im
 	c.Cfg.Workers = n
-	return &c
-}
-
-// WithBatch returns a view of the same weights with the lockstep batched
-// GenerateJobs engine enabled (the default) or disabled. The view shares
-// weights and pools with the receiver; per-seed outputs are bit-identical
-// on both settings.
-func (im *InferModel) WithBatch(on bool) *InferModel {
-	if im.noBatch == !on {
-		return im
-	}
-	c := *im
-	c.noBatch = !on
 	return &c
 }

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Generate synthesizes the normalized KPI series for a prepared (unseen)
 // trajectory sequence. Generation runs in non-overlapping batches of
 // length L (Δt = L, paper §4.3.3); within a batch the LSTMs capture the
@@ -211,11 +209,7 @@ func denormalizeSeries(channels []ChannelSpec, norm [][]float64) [][]float64 {
 // With Workers <= 1 (or a single item) the items instead run serially on
 // the model itself, preserving the original single-RNG-stream behaviour.
 func (m *Model) fanOut(n int, serial func(i int), parallelItem func(rep *Model, i int)) {
-	W := m.Cfg.Workers
-	if W > n {
-		W = n
-	}
-	if W <= 1 {
+	if m.Cfg.Workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			serial(i)
 		}
@@ -225,18 +219,7 @@ func (m *Model) fanOut(n int, serial func(i int), parallelItem func(rep *Model, 
 	for i := range seeds {
 		seeds[i] = m.rng.Int63()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += W {
-				rep := m.Clone(seeds[i])
-				parallelItem(rep, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	forEach(n, m.Cfg.Workers, func(i int) { parallelItem(m.Clone(seeds[i]), i) })
 }
 
 // DeriveSeed deterministically derives the i-th child seed from a base
@@ -267,27 +250,7 @@ func (m *Model) GenerateJobs(jobs []GenJob) [][][]float64 {
 		rep := m.Clone(jobs[i].Seed)
 		out[i] = rep.DenormalizeSeries(rep.Generate(jobs[i].Seq))
 	}
-	W := m.Cfg.Workers
-	if W > len(jobs) {
-		W = len(jobs)
-	}
-	if W <= 1 {
-		for i := range jobs {
-			run(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(jobs); i += W {
-				run(i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	forEach(len(jobs), m.Cfg.Workers, run)
 	return out
 }
 

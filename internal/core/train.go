@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"gendt/internal/nn"
 )
@@ -607,15 +606,9 @@ func (m *Model) trainParallel(seqs []*Sequence, opts TrainOpts) (TrainResult, er
 			if gN > W {
 				gN = W
 			}
-			var wg sync.WaitGroup
-			for w := 0; w < gN; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					mses[w], dlosses[w] = replicas[w].windowGrads(wins[order[g0+w]], discAcc[w])
-				}(w)
-			}
-			wg.Wait()
+			forEach(gN, gN, func(w int) {
+				mses[w], dlosses[w] = replicas[w].windowGrads(wins[order[g0+w]], discAcc[w])
+			})
 
 			// Deterministic reduction in worker order: average the worker
 			// gradients into the primary model's params.

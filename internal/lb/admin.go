@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"gendt/internal/serve"
 )
 
 // Admin endpoints. Mutations require Options.AdminToken (bearer auth);
@@ -60,14 +62,14 @@ func (lb *LB) SetRolloutState(s RolloutState) {
 // mutable by whoever can reach the port.
 func (lb *LB) authorized(w http.ResponseWriter, r *http.Request) bool {
 	if lb.opt.AdminToken == "" {
-		lbError(w, http.StatusForbidden, "admin API disabled: start gendt-lb with -admin-token")
+		serve.WriteError(w, http.StatusForbidden, "admin API disabled: start gendt-lb with -admin-token")
 		return false
 	}
 	auth := r.Header.Get("Authorization")
 	const prefix = "Bearer "
 	if !strings.HasPrefix(auth, prefix) ||
 		subtle.ConstantTimeCompare([]byte(strings.TrimPrefix(auth, prefix)), []byte(lb.opt.AdminToken)) != 1 {
-		lbError(w, http.StatusUnauthorized, "invalid or missing bearer token")
+		serve.WriteError(w, http.StatusUnauthorized, "invalid or missing bearer token")
 		return false
 	}
 	return true
@@ -91,12 +93,12 @@ type AdminReplicaResponse struct {
 func (lb *LB) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		lbJSON(w, http.StatusOK, map[string]any{"members": lb.Ring().Members()})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"members": lb.Ring().Members()})
 		return
 	case http.MethodPost:
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		lbError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
 	if !lb.authorized(w, r) {
@@ -104,11 +106,11 @@ func (lb *LB) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 	}
 	var req AdminReplicaRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		lbError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	if req.Replica == "" {
-		lbError(w, http.StatusBadRequest, "replica is required")
+		serve.WriteError(w, http.StatusBadRequest, "replica is required")
 		return
 	}
 	var err error
@@ -124,15 +126,15 @@ func (lb *LB) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 	case "readmit":
 		err = lb.ReadmitReplica(req.Replica)
 	default:
-		lbError(w, http.StatusBadRequest,
+		serve.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown action %q (want add|remove|drain|readmit)", req.Action))
 		return
 	}
 	if err != nil {
-		lbError(w, http.StatusConflict, err.Error())
+		serve.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	lbJSON(w, http.StatusOK, AdminReplicaResponse{
+	serve.WriteJSON(w, http.StatusOK, AdminReplicaResponse{
 		Action: req.Action, Replica: req.Replica, Members: lb.Ring().Members(),
 	})
 }
@@ -140,12 +142,12 @@ func (lb *LB) handleAdminReplicas(w http.ResponseWriter, r *http.Request) {
 func (lb *LB) handleAdminRollout(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		lbJSON(w, http.StatusOK, lb.RolloutState())
+		serve.WriteJSON(w, http.StatusOK, lb.RolloutState())
 		return
 	case http.MethodPost:
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		lbError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
 	if !lb.authorized(w, r) {
@@ -153,18 +155,18 @@ func (lb *LB) handleAdminRollout(w http.ResponseWriter, r *http.Request) {
 	}
 	var s RolloutState
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&s); err != nil {
-		lbError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	switch s.Phase {
 	case RolloutIdle, RolloutRolling, RolloutDone, RolloutRolledBack:
 	default:
-		lbError(w, http.StatusBadRequest,
+		serve.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown phase %q (want idle|rolling|done|rolled_back)", s.Phase))
 		return
 	}
 	lb.SetRolloutState(s)
-	lbJSON(w, http.StatusOK, lb.RolloutState())
+	serve.WriteJSON(w, http.StatusOK, lb.RolloutState())
 }
 
 // AddReplica admits a new backend: it joins the replica map and the ring

@@ -265,15 +265,15 @@ type lbRequest struct {
 func (lb *LB) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		lbError(w, http.StatusMethodNotAllowed, "use POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	lb.requests.Add(1)
 	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	sw := &serve.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 	lb.routeGenerate(sw, r)
 	lb.latency.Observe(time.Since(start))
-	if sw.code >= 400 {
+	if sw.Code >= 400 {
 		lb.errors.Add(1)
 	}
 }
@@ -286,16 +286,16 @@ func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			lbError(w, http.StatusRequestEntityTooLarge,
+			serve.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		lbError(w, http.StatusBadRequest, "read body: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
 	var req lbRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		lbError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		serve.WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 
@@ -339,7 +339,7 @@ func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request) {
 		lb.sheds.Add(1)
 		w.Header().Set("Retry-After", "1")
 		w.Header().Set(serve.ReasonHeader, serve.ReasonShed)
-		lbError(w, http.StatusServiceUnavailable, "all replicas at in-flight cap")
+		serve.WriteError(w, http.StatusServiceUnavailable, "all replicas at in-flight cap")
 		return
 	}
 	lb.upstream.Add(1)
@@ -352,7 +352,7 @@ func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request) {
 			msg += ": " + lastErr
 		}
 	}
-	lbError(w, http.StatusServiceUnavailable, msg)
+	serve.WriteError(w, http.StatusServiceUnavailable, msg)
 }
 
 // forward sends one attempt to rep. It returns done=true when a response
@@ -378,7 +378,7 @@ func (lb *LB) forward(ctx context.Context, w http.ResponseWriter, rep *replica, 
 		// counts against the replica.
 		if ctx.Err() != nil {
 			lb.canceled.Add(1)
-			lbError(w, http.StatusGatewayTimeout, "client context done: "+ctx.Err().Error())
+			serve.WriteError(w, http.StatusGatewayTimeout, "client context done: "+ctx.Err().Error())
 			return true, ""
 		}
 		rep.noteFail(lb.opt.FailAfter)
@@ -437,7 +437,7 @@ func acquire(g *atomic.Int64, cap int64) bool {
 func (lb *LB) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		lbError(w, http.StatusMethodNotAllowed, "use GET")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	now := time.Now()
@@ -462,7 +462,7 @@ func (lb *LB) handleModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(serve.ReasonHeader, serve.ReasonUpstream)
-	lbError(w, http.StatusServiceUnavailable, "no healthy replica")
+	serve.WriteError(w, http.StatusServiceUnavailable, "no healthy replica")
 }
 
 // ReplicaHealth is one replica's state in the /healthz response.
@@ -506,7 +506,7 @@ func (lb *LB) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		resp.Status = "no-healthy-replicas"
 		code = http.StatusServiceUnavailable
 	}
-	lbJSON(w, code, resp)
+	serve.WriteJSON(w, code, resp)
 }
 
 // ReplicaSnap is one replica's /debug/vars entry.
@@ -581,28 +581,5 @@ func (lb *LB) Snapshot() VarsSnap {
 }
 
 func (lb *LB) handleVars(w http.ResponseWriter, _ *http.Request) {
-	lbJSON(w, http.StatusOK, lb.Snapshot())
-}
-
-// statusWriter records the relayed status for error accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func lbJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
-func lbError(w http.ResponseWriter, code int, msg string) {
-	lbJSON(w, code, map[string]string{"error": msg})
+	serve.WriteJSON(w, http.StatusOK, lb.Snapshot())
 }

@@ -52,8 +52,7 @@ type modelEntry struct {
 type Registry struct {
 	mu      sync.RWMutex
 	sources []ModelSource
-	workers int  // generation fan-out override; 0 keeps each model's own
-	noBatch bool // disable the frozen backends' lockstep batched engine
+	workers int // generation fan-out override; 0 keeps each model's own
 	models  map[string]modelEntry
 }
 
@@ -121,29 +120,7 @@ func (r *Registry) load(s ModelSource) (modelEntry, error) {
 	if r.workers > 0 {
 		g = g.WithWorkers(r.workers)
 	}
-	if r.noBatch {
-		if im, ok := g.(*core.InferModel); ok {
-			g = im.WithBatch(false)
-		}
-	}
 	return modelEntry{gen: g, source: s, loadedAt: time.Now()}, nil
-}
-
-// SetBatchGemm toggles the frozen backends' lockstep batched GenerateJobs
-// engine for every current and future entry — the -batch-gemm escape
-// hatch. Outputs are bit-identical either way (core's batched-identity
-// contract); only the execution schedule changes. Live f64 models are
-// unaffected. Call before serving traffic; reloads keep the setting.
-func (r *Registry) SetBatchGemm(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noBatch = !on
-	for name, e := range r.models {
-		if im, ok := e.gen.(*core.InferModel); ok {
-			e.gen = im.WithBatch(on)
-			r.models[name] = e
-		}
-	}
 }
 
 // Get resolves a generator by name. The empty name resolves iff exactly one

@@ -322,6 +322,58 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 }
 
+// TestMaxBatchOneNeverCoalesces pins the job-at-a-time reference replica
+// of ci/statistical_gate.sh: with MaxBatch 1, concurrent requests inside a
+// wide window still run one singleton GenerateJobs call each, and each f32
+// series equals what a coalescing server (batched engine) returns for the
+// same seed.
+func TestMaxBatchOneNeverCoalesces(t *testing.T) {
+	setup(t)
+	f32 := func() *Registry {
+		reg, err := NewRegistry([]ModelSource{{Name: "gendt", Path: fix.modelPath, Precision: core.PrecisionF32}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	_, tsDefault := newServer(t, Options{Registry: f32(), BatchWindow: 50 * time.Millisecond})
+	sOne, tsOne := newServer(t, Options{Registry: f32(), BatchWindow: 50 * time.Millisecond, MaxBatch: 1})
+
+	const n = 8
+	fire := func(url string) []GenerateResponse {
+		out := make([]GenerateResponse, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				code, r, raw := postGenerate(t, url, GenerateRequest{Seed: int64(100 + i), Route: routePoints()})
+				if code != http.StatusOK {
+					t.Errorf("status %d: %s", code, raw)
+					return
+				}
+				out[i] = r
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		return out
+	}
+	want := fire(tsDefault.URL)
+	got := fire(tsOne.URL)
+	met := sOne.Metrics()
+	if mx, b := met.MaxBatch.Load(), met.Batches.Load(); mx != 1 || b != n {
+		t.Fatalf("MaxBatch 1 coalesced: max_batch=%d batches=%d, want 1 and %d", mx, b, n)
+	}
+	for i := range got {
+		if !reflect.DeepEqual(want[i].Series, got[i].Series) {
+			t.Fatalf("request %d: MaxBatch 1 series differs from the default server's", i)
+		}
+	}
+}
+
 // TestConcurrentClients hammers the server with 32 parallel clients (the
 // acceptance bar; run under -race).
 func TestConcurrentClients(t *testing.T) {

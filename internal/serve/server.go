@@ -199,30 +199,32 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
+			WriteError(w, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
 			return
 		}
 		st.Requests.Add(1)
 		st.InFlight.Add(1)
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		h(sw, r)
 		st.InFlight.Add(-1)
 		st.Latency.Observe(time.Since(start))
-		if sw.code >= 400 {
+		if sw.Code >= 400 {
 			st.Errors.Add(1)
 		}
 	}
 }
 
-// statusWriter records the response code for error accounting.
-type statusWriter struct {
+// StatusWriter records the response code for error accounting. Start
+// Code at http.StatusOK: a handler that never calls WriteHeader sends 200.
+type StatusWriter struct {
 	http.ResponseWriter
-	code int
+	Code int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
+// WriteHeader records code and forwards it.
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Code = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
@@ -282,22 +284,22 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 
 	tr, err := req.trajectory(s.opt.MaxSteps)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	name, model, ok := s.opt.Registry.Resolve(req.Model)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have %s)",
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have %s)",
 			req.Model, strings.Join(s.opt.Registry.Names(), ", ")))
 		return
 	}
@@ -306,7 +308,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		samples = 1
 	}
 	if samples > s.opt.MaxSamples {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("samples %d exceeds limit %d", samples, s.opt.MaxSamples))
 		return
 	}
@@ -335,9 +337,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrDraining):
 			writeDraining(w, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "generation timed out")
+			WriteError(w, http.StatusGatewayTimeout, "generation timed out")
 		default:
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -359,7 +361,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		min, max, mean := core.Envelope(outs)
 		resp.Envelope = &EnvelopeJSON{Min: min, Max: max, Mean: mean}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // trajectory converts the request's route into a geo.Trajectory.
@@ -410,7 +412,7 @@ type ModelsResponse struct {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, ModelsResponse{Models: s.opt.Registry.List()})
+	WriteJSON(w, http.StatusOK, ModelsResponse{Models: s.opt.Registry.List()})
 }
 
 // HealthResponse is the /healthz response body.
@@ -437,11 +439,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(DrainRetryAfter))
 		w.Header().Set(ReasonHeader, ReasonDraining)
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.met.Snapshot())
+	WriteJSON(w, http.StatusOK, s.met.Snapshot())
 }
 
 // ReloadResponse is the /admin/reload response body.
@@ -456,10 +458,11 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if failures > 0 {
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, ReloadResponse{Models: statuses, Failures: failures})
+	WriteJSON(w, code, ReloadResponse{Models: statuses, Failures: failures})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON sends v as indented JSON with the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -467,8 +470,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+// WriteError sends the JSON error body {"error": msg} with the given
+// status code.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }
 
 // writeDraining is the 503 every draining rejection goes through: the
@@ -477,5 +482,5 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 func writeDraining(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", strconv.Itoa(DrainRetryAfter))
 	w.Header().Set(ReasonHeader, ReasonDraining)
-	writeError(w, http.StatusServiceUnavailable, msg)
+	WriteError(w, http.StatusServiceUnavailable, msg)
 }

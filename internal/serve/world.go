@@ -30,7 +30,8 @@ type World struct {
 // routes hold per-step cell/env tensors, so the cap is deliberately small).
 const DefaultPrepCache = 64
 
-// NewWorld builds the dataset world once; name is "A" or "B".
+// NewWorld builds the dataset world once; name is any scenario registered
+// with dataset.NewByName.
 func NewWorld(name string, spec dataset.Spec) (*World, error) {
 	ds, err := dataset.NewByName(name, spec)
 	if err != nil {
@@ -47,7 +48,7 @@ func NewWorldFrom(ds *dataset.Dataset) *World {
 	return &World{ds: ds, name: ds.Name, cache: make(map[uint64]*core.Sequence), limit: DefaultPrepCache}
 }
 
-// Name reports which dataset world is resident ("A" or "B").
+// Name reports which dataset world (scenario name) is resident.
 func (w *World) Name() string { return w.name }
 
 // Dataset exposes the resident dataset (tests pull known routes from it).

@@ -192,9 +192,9 @@ func checkPermutationInvariance(g core.Generator, seqs []*core.Sequence, opts Op
 }
 
 // checkBatchedEngineIdentity: the frozen backends' lockstep batched-GEMM
-// engine must be a pure execution-schedule change — GenerateJobs with
-// batching on (the default) and off (the -batch-gemm escape hatch) must be
-// bit-identical, over a job mix whose uneven lengths force ragged lane
+// engine must be a pure execution-schedule change — batched GenerateJobs
+// must be bit-identical to generating each job on its own through
+// GenerateSeeded, over a job mix whose uneven lengths force ragged lane
 // retirement inside the micro-batch. Live f64 models have no batched
 // engine, so the check skips there.
 func checkBatchedEngineIdentity(g core.Generator, seqs []*core.Sequence, opts Options, rep *Report) {
@@ -216,12 +216,12 @@ func checkBatchedEngineIdentity(g core.Generator, seqs []*core.Sequence, opts Op
 		jobs = append(jobs, core.GenJob{Seq: seq, Seed: core.DeriveSeed(opts.Seed, 100+i)})
 	}
 	batched := im.WithWorkers(opts.Workers).GenerateJobs(jobs)
-	unbatched := im.WithBatch(false).WithWorkers(opts.Workers).GenerateJobs(jobs)
-	for i := range jobs {
-		if ok, detail := seriesEqual(batched[i], unbatched[i]); !ok {
+	for i, job := range jobs {
+		direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
+		if ok, detail := seriesEqual(batched[i], direct); !ok {
 			rep.add(CheckResult{
 				Name: name, Passed: false,
-				Detail: fmt.Sprintf("job %d (T=%d): batch-on vs batch-off: %s", i, jobs[i].Seq.Len(), detail),
+				Detail: fmt.Sprintf("job %d (T=%d): batched vs job-at-a-time: %s", i, job.Seq.Len(), detail),
 			})
 			return
 		}
